@@ -247,6 +247,17 @@ struct AnalysisPipeline::Impl {
                                     &report_pass,  &timeline_pass,
                                     &export_pass};
 
+  // The fold passes run on read: each epoch adds its scope to every fold's
+  // pending set, and the first read of a fold's output after a change runs
+  // that pass once over the merged scope.
+  struct Pending {
+    AnalysisPass* pass;
+    std::set<std::uint64_t> roots;  // affected or removed since the last run
+    std::set<Uuid> rebuilt;
+  };
+  Pending ccsg_fold{&ccsg_pass, {}, {}}, report_fold{&report_pass, {}, {}},
+      timeline_fold{&timeline_pass, {}, {}};
+
   struct TextCache {
     std::string text;
     std::uint64_t generation{~0ull};
@@ -254,6 +265,8 @@ struct AnalysisPipeline::Impl {
   TextCache ccsg_xml_cache, timeline_text_cache, timeline_csv_cache;
 
   EpochInfo run_epoch();
+  void run_pass(AnalysisPass& pass, const EpochInfo& info);
+  void settle(Pending& fold);
   void compute_scope(EpochInfo& info);
   void collect_cover(const ChainTree& tree,
                      std::unordered_set<std::uint64_t>& seen);
@@ -428,36 +441,62 @@ EpochInfo AnalysisPipeline::Impl::run_epoch() {
   info.mode_changed = (epochs > 0 && info.mode != last_mode);
   last_mode = info.mode;
 
-  // CAUSEWAY_PASS_TIMING=1 prints per-pass wall time to stderr -- the knob
-  // for chasing a pass whose epoch cost grows with the graph.
-  static const bool timing = std::getenv("CAUSEWAY_PASS_TIMING") != nullptr;
-  const auto timed = [&](AnalysisPass* pass) {
-    if (!timing) {
-      pass->update(db, info);
-      return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    pass->update(db, info);
-    const auto t1 = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "  [pass] %-10s %8.3f ms\n",
-                 std::string(pass->name()).c_str(),
-                 static_cast<double>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         t1 - t0)
-                         .count()) /
-                     1e6);
-  };
-
-  timed(passes[0]);  // DSCG first: it produces the delta...
+  run_pass(dscg_pass, info);  // DSCG first: it produces the delta...
   info.delta = &dscg.last_delta();
-  compute_scope(info);          // ...the pipeline closes into the scope...
-  for (std::size_t i = 1; i < passes.size(); ++i) {
-    timed(passes[i]);  // ...every downstream pass consumes.
+  compute_scope(info);  // ...the pipeline closes into the scope...
+  run_pass(annotate_pass, info);  // ...the eager passes consume...
+  run_pass(anomaly_pass, info);
+  const UpdateScope& scope = info.scope;
+  for (Pending* fold : {&ccsg_fold, &report_fold, &timeline_fold}) {
+    // ...and the folds queue it for their next read.
+    auto& roots = fold->roots;
+    roots.insert(scope.affected_roots.begin(), scope.affected_roots.end());
+    roots.insert(scope.removed_roots.begin(), scope.removed_roots.end());
+    fold->rebuilt.insert(scope.rebuilt_chains.begin(),
+                         scope.rebuilt_chains.end());
   }
+  run_pass(export_pass, info);
 
   ++epochs;
   last_info = info;
   return info;
+}
+
+void AnalysisPipeline::Impl::run_pass(AnalysisPass& pass,
+                                      const EpochInfo& info) {
+  // CAUSEWAY_PASS_TIMING=1 prints per-pass wall time to stderr -- the knob
+  // for chasing a pass whose cost grows with the graph.
+  static const bool timing = std::getenv("CAUSEWAY_PASS_TIMING") != nullptr;
+  if (!timing) {
+    pass.update(db, info);
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  pass.update(db, info);
+  const auto t1 = std::chrono::steady_clock::now();
+  std::fprintf(
+      stderr, "  [pass] %-10s %8.3f ms\n", std::string(pass.name()).c_str(),
+      static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()) /
+          1e6);
+}
+
+// Runs a fold over everything queued since its last run.  A queued root
+// that is no longer top-level is subtracted only, never folded.
+void AnalysisPipeline::Impl::settle(Pending& fold) {
+  if (fold.roots.empty() && fold.rebuilt.empty()) return;
+  std::vector<std::uint64_t> affected_now, removed_now;
+  for (std::uint64_t r : fold.roots) {
+    (dscg.is_root(r) ? affected_now : removed_now).push_back(r);
+  }
+  const std::vector<Uuid> rebuilt(fold.rebuilt.begin(), fold.rebuilt.end());
+  EpochInfo info = last_info;
+  info.delta = nullptr;
+  info.scope = UpdateScope{affected_now, removed_now, rebuilt};
+  run_pass(*fold.pass, info);
+  fold.roots.clear();
+  fold.rebuilt.clear();
 }
 
 AnalysisPipeline::AnalysisPipeline() : impl_(std::make_unique<Impl>()) {}
@@ -487,20 +526,24 @@ EpochInfo AnalysisPipeline::ingest_records(
 EpochInfo AnalysisPipeline::refresh() { return impl_->run_epoch(); }
 
 const Dscg& AnalysisPipeline::dscg() const { return impl_->dscg; }
-const Ccsg& AnalysisPipeline::ccsg() const {
+const Ccsg& AnalysisPipeline::ccsg() {
+  impl_->settle(impl_->ccsg_fold);
   return impl_->ccsg_pass.graph();
 }
 
 std::string AnalysisPipeline::report(const ReportOptions& options) {
+  impl_->settle(impl_->report_fold);
   return impl_->report_pass.report().render(impl_->dscg, impl_->db, options);
 }
 
 std::string AnalysisPipeline::summary() {
+  impl_->settle(impl_->report_fold);
   return impl_->report_pass.report().summary(impl_->dscg, impl_->db);
 }
 
 std::string AnalysisPipeline::ccsg_xml() {
   Impl& im = *impl_;
+  im.settle(im.ccsg_fold);
   if (im.ccsg_xml_cache.generation != im.db.generation()) {
     im.ccsg_xml_cache.text = im.ccsg_pass.graph().to_xml();
     im.ccsg_xml_cache.generation = im.db.generation();
@@ -509,11 +552,13 @@ std::string AnalysisPipeline::ccsg_xml() {
 }
 
 const std::vector<TimelineEntry>& AnalysisPipeline::timeline() {
+  impl_->settle(impl_->timeline_fold);
   return impl_->timeline_pass.entries();
 }
 
 std::string AnalysisPipeline::timeline_text() {
   Impl& im = *impl_;
+  im.settle(im.timeline_fold);
   if (im.timeline_text_cache.generation != im.db.generation()) {
     im.timeline_text_cache.text = timeline_to_text(im.timeline_pass.entries());
     im.timeline_text_cache.generation = im.db.generation();
@@ -523,6 +568,7 @@ std::string AnalysisPipeline::timeline_text() {
 
 std::string AnalysisPipeline::timeline_csv() {
   Impl& im = *impl_;
+  im.settle(im.timeline_fold);
   if (im.timeline_csv_cache.generation != im.db.generation()) {
     im.timeline_csv_cache.text = timeline_to_csv(im.timeline_pass.entries());
     im.timeline_csv_cache.generation = im.db.generation();
