@@ -9,18 +9,18 @@
 //
 // The Report class is an online accumulator over per-root imprints, exactly
 // mirroring the CCSG: update() subtracts the previous contribution of every
-// top-level tree in the scope and re-folds the current one, so per-epoch
-// cost scales with the affected trees.  All aggregation is exact (integer
-// nanoseconds, counts, sorted multisets); doubles appear only at render
-// time, which is what keeps incremental and offline output byte-identical.
-// Rendering is cached per section -- a section re-renders only when the
-// accumulators feeding it changed since the last render.
+// top-level tree in the scope and re-folds the current one, so its cost
+// scales with the affected trees.  The pipeline runs it on read, over every
+// epoch's scope since the last read.  The fold keys flat cells on dense ids
+// from a Report-owned interner; names sort only when a section renders.  All
+// aggregation is exact (integer nanoseconds, counts, sorted latency
+// vectors); doubles appear only at render time, which is what keeps
+// incremental and offline output byte-identical.
 //
 // The free functions are the offline (one-epoch degenerate) form, and are
 // thin wrappers over the same machinery.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -52,13 +52,12 @@ class Report {
   void update(const Dscg& dscg, const LogDatabase& db,
               const UpdateScope& scope);
 
-  // The full characterization report.  Dirty sections re-render; clean ones
-  // come from the cache.  Non-const because it refreshes the caches.
+  // The full characterization report.
   std::string render(const Dscg& dscg, const LogDatabase& db,
-                     const ReportOptions& options = {});
+                     const ReportOptions& options = {}) const;
 
   // Machine-readable headline metrics as a single JSON object.
-  std::string summary(const Dscg& dscg, const LogDatabase& db);
+  std::string summary(const Dscg& dscg, const LogDatabase& db) const;
 
   // Implementation types (defined in report.cpp; public so the fold/apply
   // helpers there can name them).
@@ -68,24 +67,6 @@ class Report {
  private:
   std::unique_ptr<Acc> acc_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Imprint>> imprints_;
-
-  // Section caches, each stamped with the accumulator revision (and render
-  // options) it was built from.
-  std::uint64_t data_rev_{1};  // bumped by every applied imprint
-  std::uint64_t cpu_rev_{1};   // ... that carried CPU-by-type entries
-  std::uint64_t edge_rev_{1};  // ... that carried cross-process edges
-  struct Cached {
-    std::string text;
-    std::uint64_t rev{0};  // 0 = never rendered
-  };
-  Cached topology_cache_, functions_cache_, process_cache_, cpu_cache_,
-      edges_cache_, slow_cache_, critical_cache_, anomalies_cache_,
-      summary_cache_;
-  ReportOptions last_options_{};
-  bool have_options_{false};
-  // Mode the function table was last formatted for; a flip reformats every
-  // row even when the cells themselves did not change.
-  monitor::ProbeMode functions_mode_{monitor::ProbeMode::kLatency};
 };
 
 // Offline forms.  Run latency/CPU annotation for the database's primary
