@@ -9,12 +9,14 @@
 // DescendentCPUConsumption in [second, microsecond] format, structured
 // following the call hierarchy.
 //
-// The graph is an *online accumulator*: update() folds one epoch's delta --
-// the per-root imprints of the top-level trees the DSCG re-grouped -- into
-// the merged nodes (subtract the tree's previous contribution, fold the new
-// one), so per-epoch cost scales with the affected trees, not the whole
-// graph.  build() is the one-epoch degenerate case (every root affected),
-// which is what keeps offline and incremental output byte-identical.
+// The graph is an *online accumulator*: update() folds a scope -- the
+// per-root imprints of the top-level trees the DSCG re-grouped -- into the
+// merged nodes (subtract the tree's previous contribution, fold the new
+// one), so its cost scales with the affected trees, not the whole graph.
+// The pipeline runs it on read, with one scope merged from every epoch
+// since the last read.  build() is the one-epoch degenerate case (every
+// root affected), which is what keeps offline and incremental output
+// byte-identical.
 //
 // (The detailed construction lived in HP Labs TR HPL-2002-50, which is not
 // public; the parent-scoped identity merge here is the natural reading and

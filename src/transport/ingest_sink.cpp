@@ -89,7 +89,13 @@ void IngestSink::on_segment(const PeerInfo& peer,
     }
   } else if (cols) {
     records = cols->count;
+  } else if (store_) {
+    // The store decodes the segment once, and rejects a malformed one
+    // before writing a byte; the header's count is all this needs.
+    records = analysis::trace_segment_record_count(segment);
   } else {
+    // Nothing else decodes it: a corrupt segment must throw here, before
+    // it is retained for the merged file.
     records = analysis::decode_trace_segment(segment).records.size();
   }
   if (store_) {

@@ -33,7 +33,7 @@ using monitor::TraceRecord;
 using testutil::Scribe;
 
 struct Renders {
-  std::string report, summary, ccsg, timeline, text, json;
+  std::string report, summary, ccsg, timeline, csv, text, json;
 
   bool operator==(const Renders&) const = default;
 };
@@ -54,6 +54,7 @@ Renders offline_renders(std::span<const TraceRecord> records) {
   out.json = to_json(dscg, {});
   out.ccsg = Ccsg::build(dscg).to_xml();
   out.timeline = timeline_to_text(build_timeline(dscg));
+  out.csv = timeline_to_csv(build_timeline(dscg));
   out.report = characterization_report(dscg, db);
   out.summary = summary_json(dscg, db);
   return out;
@@ -65,6 +66,7 @@ Renders pipeline_renders(AnalysisPipeline& pipeline) {
   out.summary = pipeline.summary();
   out.ccsg = pipeline.ccsg_xml();
   out.timeline = pipeline.timeline_text();
+  out.csv = pipeline.timeline_csv();
   out.text = pipeline.export_text();
   out.json = pipeline.export_json();
   return out;
@@ -75,6 +77,7 @@ void expect_equal(const Renders& got, const Renders& want) {
   EXPECT_EQ(got.summary, want.summary);
   EXPECT_EQ(got.ccsg, want.ccsg);
   EXPECT_EQ(got.timeline, want.timeline);
+  EXPECT_EQ(got.csv, want.csv);
   EXPECT_EQ(got.text, want.text);
   EXPECT_EQ(got.json, want.json);
 }
@@ -157,6 +160,50 @@ TEST_P(PipelineEquivalence, ManyEpochsMatchOneEpoch) {
   expect_equal(pipeline_renders(incremental), want);
 }
 
+// The fold passes run on read, over every epoch queued since the last read.
+// Ingests `records` in `slices` (consecutive spans of it), reads after every
+// `every`-th epoch and after the last, and checks each read against the
+// offline render of the records ingested so far.
+void expect_reads_match_offline(
+    const std::vector<TraceRecord>& records,
+    const std::vector<std::span<const TraceRecord>>& slices,
+    std::size_t every) {
+  AnalysisPipeline pipeline;
+  std::size_t seen = 0;
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    pipeline.ingest_records(slices[i]);
+    seen += slices[i].size();
+    if ((i + 1) % every != 0 && i + 1 != slices.size()) continue;
+    SCOPED_TRACE("read after epoch " + std::to_string(i + 1));
+    expect_equal(pipeline_renders(pipeline),
+                 offline_renders(std::span(records).first(seen)));
+  }
+}
+
+// Spans of `records` with the given lengths, in order.
+std::vector<std::span<const TraceRecord>> slices_of(
+    const std::vector<TraceRecord>& records,
+    std::initializer_list<std::size_t> lengths) {
+  std::vector<std::span<const TraceRecord>> out;
+  std::size_t begin = 0;
+  for (std::size_t len : lengths) {
+    out.push_back(std::span(records).subspan(begin, len));
+    begin += len;
+  }
+  EXPECT_EQ(begin, records.size());
+  return out;
+}
+
+TEST_P(PipelineEquivalence, ReadCadenceMatchesOffline) {
+  const auto logs = synthetic_trace(GetParam(), 4);
+  const auto& records = logs.records;
+  const auto slices = uneven_slices(records, 9);
+  for (std::size_t every : {std::size_t{1}, std::size_t{3}, slices.size()}) {
+    SCOPED_TRACE("read every " + std::to_string(every) + " epochs");
+    expect_reads_match_offline(records, slices, every);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, PipelineEquivalence,
                          ::testing::Values(ProbeMode::kLatency,
                                            ProbeMode::kCpu,
@@ -192,6 +239,61 @@ TEST(PipelineModeFlip, FlipMatchesOffline) {
   std::vector<TraceRecord> all(latency);
   all.insert(all.end(), cpu.begin(), cpu.end());
   expect_equal(pipeline_renders(pipeline), offline_renders(all));
+}
+
+// The flip lands in a window of epochs with no read: the next read folds
+// the pre-flip and post-flip scopes in one merged pass.
+TEST(PipelineModeFlip, FlipInsideUnreadWindowMatchesOffline) {
+  const auto latency_logs = synthetic_trace(ProbeMode::kLatency, 1);
+  const auto cpu_logs = synthetic_trace(ProbeMode::kCpu, 3);
+  std::vector<TraceRecord> all(latency_logs.records);
+  all.insert(all.end(), cpu_logs.records.begin(), cpu_logs.records.end());
+  const std::size_t n = latency_logs.records.size();
+  const std::size_t m = cpu_logs.records.size();
+  ASSERT_GT(m, n);
+  // Reads after epochs 2 and 6: the flip happens in epoch 5.
+  expect_reads_match_offline(
+      all, slices_of(all, {n / 3, n / 3, n - 2 * (n / 3), m / 3, m / 3,
+                           m - 2 * (m / 3)}),
+      2);
+}
+
+// A chain that arrives before its oneway spawner is a root until the
+// spawner's records land; then it stops being top-level and must only be
+// subtracted, never folded.  Both orders of read and re-parenting: the
+// orphan is folded at a read and re-parented in an unread window, or it is
+// queued unread and re-parented before the next read.
+TEST(PipelineSpawn, RootBecomingSpawnedInsideUnreadWindowMatchesOffline) {
+  Scribe first;
+  first.leaf_sync("I", "F", {0, 1, 2, 3, 4, 5, 6, 7});
+  Scribe child;
+  child.emit(EventKind::kSkelStart, CallKind::kOneway, "I", "notify", 20, 21,
+             "procB", 2);
+  child.leaf_sync("J", "G", {22, 23, 24, 25, 26, 27, 28, 29}, "procB",
+                  "procC");
+  child.emit(EventKind::kSkelEnd, CallKind::kOneway, "I", "notify", 30, 31,
+             "procB", 2);
+  Scribe parent;
+  parent.emit(EventKind::kStubStart, CallKind::kOneway, "I", "notify", 10, 11)
+      .spawned_chain = child.chain();
+  parent.emit(EventKind::kStubEnd, CallKind::kOneway, "I", "notify", 12, 13);
+  Scribe last;
+  last.leaf_sync("I", "H", {40, 41, 42, 43, 44, 45, 46, 47});
+
+  std::vector<TraceRecord> all;
+  for (Scribe* s : {&first, &child, &parent, &last}) {
+    all.insert(all.end(), s->records().begin(), s->records().end());
+  }
+  const auto slices = slices_of(all, {4, 6, 2, 4});
+  // Reads after every epoch pin the folded-then-re-parented order; reads
+  // after epochs 2 and 4 leave the re-parenting (epoch 3) unread.
+  expect_reads_match_offline(all, slices, 2);
+  // Reads after epochs 3 and 4 queue the orphan (epoch 2) unread until the
+  // spawner arrives.
+  expect_reads_match_offline(all, slices, 3);
+  AnalysisPipeline pipeline;
+  for (const auto slice : slices) pipeline.ingest_records(slice);
+  EXPECT_EQ(pipeline.dscg().roots().size(), 3u);
 }
 
 TEST(PipelineAnomalies, EventsEmitOnceAcrossRescans) {

@@ -15,6 +15,7 @@
 
 #include "analysis/trace_io.h"
 #include "store/catalog.h"
+#include "transport/ingest_sink.h"
 
 namespace causeway::store {
 namespace {
@@ -247,6 +248,33 @@ TEST(StoreWriter, V5StoreReadsBackLikeV4) {
     EXPECT_EQ(db5.records()[i].seq, db4.records()[i].seq);
     EXPECT_EQ(db5.records()[i].value_start, db4.records()[i].value_start);
   }
+}
+
+// A store-only collectd sink counts each segment from its header and leaves
+// the one decode to the store, which still rejects a corrupt segment before
+// writing any of it.
+TEST(StoreWriter, StoreOnlyIngestSinkRejectsCorruptSegments) {
+  ScratchDir dir("ingest");
+  transport::IngestSink::Options options;
+  options.store_dir = dir.str();
+  transport::IngestSink sink(std::move(options));
+  transport::PeerInfo peer;
+  peer.process_name = "procA";
+  const auto segment = analysis::encode_trace(make_logs(1, uuid(5, 1), 0),
+                                              analysis::kTraceFormatV4);
+  sink.on_segment(peer, segment);
+  const std::vector<std::uint8_t> torn(segment.begin(), segment.end() - 3);
+  EXPECT_THROW(sink.on_segment(peer, torn), analysis::TraceIoError);
+  sink.on_segment(peer, segment);
+
+  const transport::IngestSink::Totals totals = sink.finalize();
+  EXPECT_EQ(totals.segments, 2u);
+  EXPECT_EQ(totals.records, 8u);
+  const StoreView view = open_store(dir.str());
+  ASSERT_EQ(view.files.size(), 1u);
+  EXPECT_EQ(view.files[0].entry.records, 8u);
+  analysis::LogDatabase db;
+  EXPECT_EQ(analysis::read_trace_file(view.files[0].path, db), 8u);
 }
 
 TEST(OpenStore, ThrowsOnMissingAndResizedFiles) {
