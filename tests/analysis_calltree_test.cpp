@@ -16,15 +16,17 @@ using monitor::CallKind;
 using monitor::EventKind;
 using testutil::Scribe;
 
-ChainTree build(Scribe& scribe) {
-  LogDatabase db;
+// The tree's string views point into `db`, so the caller keeps it alive
+// for as long as it reads the tree.
+ChainTree build(Scribe& scribe, LogDatabase& db) {
   db.ingest_records(scribe.records());
   return build_chain_tree(scribe.chain(), db.chain_events(scribe.chain()));
 }
 
 TEST(CallTree, EmptyChain) {
   Scribe scribe;
-  ChainTree tree = build(scribe);
+  LogDatabase db;
+  ChainTree tree = build(scribe, db);
   EXPECT_EQ(tree.call_count(), 0u);
   EXPECT_TRUE(tree.anomalies.empty());
 }
@@ -37,7 +39,8 @@ TEST(CallTree, SiblingPattern) {
   Nanos t2[8] = {10, 11, 12, 13, 14, 15, 16, 17};
   s.leaf_sync("I", "G", t2);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   ASSERT_EQ(tree.root->children.size(), 2u);
   EXPECT_EQ(tree.root->children[0]->function_name, "F");
@@ -62,7 +65,8 @@ TEST(CallTree, ParentChildNesting) {
   s.emit(EventKind::kSkelEnd, CallKind::kSync, "I", "F", 20, 21, "procB", 2);
   s.emit(EventKind::kStubEnd, CallKind::kSync, "I", "F", 22, 23);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   ASSERT_EQ(tree.root->children.size(), 1u);
   const CallNode& f = *tree.root->children[0];
@@ -90,7 +94,8 @@ TEST(CallTree, RecursionProducesNestedFrames) {
   s.emit(EventKind::kSkelEnd, CallKind::kSync, "I", "F", 12, 13, "procB", 2);
   s.emit(EventKind::kStubEnd, CallKind::kSync, "I", "F", 14, 15);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   ASSERT_EQ(tree.root->children.size(), 1u);
   ASSERT_EQ(tree.root->children[0]->children.size(), 1u);
@@ -109,7 +114,8 @@ TEST(CallTree, CallbackPattern) {
   s.emit(EventKind::kSkelEnd, CallKind::kSync, "I", "request", 12, 13, "procB", 2);
   s.emit(EventKind::kStubEnd, CallKind::kSync, "I", "request", 14, 15);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   const CallNode& req = *tree.root->children[0];
   ASSERT_EQ(req.children.size(), 1u);
@@ -125,7 +131,8 @@ TEST(CallTree, OnewayStubSideAndSpawn) {
   start.spawned_chain = child;
   s.emit(EventKind::kStubEnd, CallKind::kOneway, "I", "notify", 2, 3);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   ASSERT_EQ(tree.root->children.size(), 1u);
   const CallNode& n = *tree.root->children[0];
@@ -144,7 +151,8 @@ TEST(CallTree, OnewaySkelSideChainWithNestedWork) {
   s.emit(EventKind::kSkelEnd, CallKind::kOneway, "I", "notify", 10, 11,
          "procB", 5);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   EXPECT_TRUE(tree.oneway_child);
   ASSERT_EQ(tree.root->children.size(), 1u);
@@ -159,7 +167,8 @@ TEST(CallTree, PartialPeerAccepted) {
   Scribe s;
   s.emit(EventKind::kStubStart, CallKind::kSync, "I", "F", 0, 1);
   s.emit(EventKind::kStubEnd, CallKind::kSync, "I", "F", 2, 3);
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_TRUE(tree.anomalies.empty());
   EXPECT_EQ(tree.call_count(), 1u);
   EXPECT_FALSE(tree.root->children[0]->record(EventKind::kSkelStart));
@@ -189,7 +198,8 @@ TEST(CallTree, StrayEventsRecoveredFrom) {
   Nanos t[8] = {2, 3, 4, 5, 6, 7, 8, 9};
   s.leaf_sync("I", "G", t);
 
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_GE(tree.anomalies.size(), 1u);
   ASSERT_EQ(tree.root->children.size(), 1u);
   EXPECT_EQ(tree.root->children[0]->function_name, "G");
@@ -201,7 +211,8 @@ TEST(CallTree, MismatchedNameFlagged) {
   s.emit(EventKind::kSkelStart, CallKind::kSync, "I", "WRONG", 2, 3);
   s.emit(EventKind::kSkelEnd, CallKind::kSync, "I", "F", 4, 5);
   s.emit(EventKind::kStubEnd, CallKind::kSync, "I", "F", 6, 7);
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_GE(tree.anomalies.size(), 1u);
 }
 
@@ -210,7 +221,8 @@ TEST(CallTree, TruncatedTailFlagged) {
   s.emit(EventKind::kStubStart, CallKind::kSync, "I", "F", 0, 1);
   s.emit(EventKind::kSkelStart, CallKind::kSync, "I", "F", 2, 3);
   // crash: no more records
-  ChainTree tree = build(s);
+  LogDatabase db;
+  ChainTree tree = build(s, db);
   EXPECT_FALSE(tree.anomalies.empty());
   EXPECT_EQ(tree.call_count(), 1u);
 }
