@@ -1503,6 +1503,61 @@ ColumnBundle decode_trace_segment_columns(
   }
 }
 
+ColumnBundle columns_from_logs(const monitor::CollectedLogs& logs) {
+  ColumnBundle cols;
+  cols.epoch = logs.epoch;
+  cols.dropped = logs.dropped;
+  cols.domains = logs.domains;
+  // Table ids in the writers' intern order (domain identities first, then
+  // iface, func, process, node, type per record), so the bundle encodes to
+  // the same bytes as the records do.
+  std::unordered_map<std::string_view, std::uint32_t> ids;
+  auto id_of = [&](std::string_view s) {
+    const auto [it, fresh] =
+        ids.try_emplace(s, static_cast<std::uint32_t>(cols.table.size()));
+    if (fresh) cols.table.push_back(cols.own_string(s));
+    return it->second;
+  };
+  for (const auto& d : logs.domains) {
+    id_of(d.identity.process_name);
+    id_of(d.identity.node_name);
+    id_of(d.identity.processor_type);
+  }
+  const std::size_t n = logs.records.size();
+  cols.count = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const monitor::TraceRecord& r = logs.records[i];
+    // v2/v3 carry whole bytes where the packed flag bytes have bits.
+    if (static_cast<unsigned>(r.event) > 7 ||
+        static_cast<unsigned>(r.kind) > 3 ||
+        static_cast<unsigned>(r.outcome) > 3 ||
+        static_cast<unsigned>(r.mode) > 3 || r.sample_rate_index > 31) {
+      throw TraceIoError("record flags out of range for the column form");
+    }
+    if (i == 0 || !(r.chain == logs.records[i - 1].chain)) {
+      cols.runs.push_back(
+          {r.chain, 0, static_cast<std::uint32_t>(cols.spawned.size())});
+    }
+    ++cols.runs.back().length;
+    cols.seq.push_back(r.seq);
+    cols.flags1.push_back(pack_flags1(r));
+    cols.flags2.push_back(static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(r.mode) |
+        (r.spawned_chain.is_nil() ? 0 : 4) | (r.sample_rate_index << 3)));
+    if (!r.spawned_chain.is_nil()) cols.spawned.push_back(r.spawned_chain);
+    cols.iface.push_back(id_of(r.interface_name));
+    cols.func.push_back(id_of(r.function_name));
+    cols.process.push_back(id_of(r.process_name));
+    cols.node.push_back(id_of(r.node_name));
+    cols.type.push_back(id_of(r.processor_type));
+    cols.object_key.push_back(r.object_key);
+    cols.thread_ordinal.push_back(r.thread_ordinal);
+    cols.value_start.push_back(r.value_start);
+    cols.value_end.push_back(r.value_end);
+  }
+  return cols;
+}
+
 std::uint64_t trace_segment_record_count(
     std::span<const std::uint8_t> segment) {
   try {

@@ -177,6 +177,16 @@ monitor::CollectedLogs decode_trace_segment(
 ColumnBundle decode_trace_segment_columns(
     std::span<const std::uint8_t> segment);
 
+// The inverse of assembling records from a bundle: record-major logs (a
+// decoded v2/v3 segment, a collector drain) in column form, so one
+// column-native consumer serves every format version.  Runs, spawned
+// chains and the deduplicated string table are rebuilt in the writers'
+// intern order, so the bundle encodes to the same bytes as `logs`; the
+// table is copied into the bundle's own pool.  Throws TraceIoError when a
+// record's event, kind, outcome, mode or sample-rate index does not fit
+// its packed flag bits (only a corrupt v2/v3 segment can produce one).
+ColumnBundle columns_from_logs(const monitor::CollectedLogs& logs);
+
 // Reads one complete segment's total record count from its header without
 // decoding the record payload -- what a relay tier needs to account for
 // the segments it forwards (or sheds) without paying for a full decode.

@@ -1,16 +1,15 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <memory>
 #include <unordered_map>
 
 #include "analysis/trace_io.h"
+#include "common/wire.h"
 #include "monitor/record.h"
 #include "store/store.h"
 
@@ -25,23 +24,12 @@ using monitor::CallOutcome;
 using monitor::EventKind;
 using monitor::ProbeMode;
 
-// One call event, detached from its segment: strings are views into pools
-// the executor keeps alive for the whole run.
-struct Ev {
-  std::uint64_t seq{0};
-  std::int64_t vstart{0}, vend{0};
-  std::string_view iface, func, process, node, type;
-  std::uint64_t object_key{0};
-  EventKind event{};
-  CallKind kind{};
-  CallOutcome outcome{};
-  ProbeMode mode{};
-};
-
-// A completed call -- the query row.
+// A completed call -- the query row.  Names are query-wide ids (Scan
+// below); a span exists only long enough for the window and `where` checks
+// and its group's accumulator.
 struct Span {
   Uuid chain;
-  std::string_view iface, func, process, node, type;
+  std::uint32_t iface{0}, func{0}, process{0}, node{0}, type{0};
   std::uint64_t object_key{0};
   CallKind kind{};
   CallOutcome outcome{};
@@ -51,6 +39,8 @@ struct Span {
   // when both paired records sampled in latency mode.
   std::optional<std::int64_t> latency;
 };
+
+using Names = std::vector<std::string_view>;
 
 // The chain == UUID a matching span *must* carry, if the expression forces
 // one: a predicate under `or` or `not` forces nothing, under `and` any
@@ -97,13 +87,13 @@ bool compare_text(std::string_view lhs, Op op, std::string_view rhs) {
   }
 }
 
-bool eval_pred(const Predicate& p, const Span& s) {
+bool eval_pred(const Predicate& p, const Span& s, const Names& names) {
   switch (p.field) {
-    case Field::kIface: return compare_text(s.iface, p.op, p.text);
-    case Field::kFunc: return compare_text(s.func, p.op, p.text);
-    case Field::kProcess: return compare_text(s.process, p.op, p.text);
-    case Field::kNode: return compare_text(s.node, p.op, p.text);
-    case Field::kType: return compare_text(s.type, p.op, p.text);
+    case Field::kIface: return compare_text(names[s.iface], p.op, p.text);
+    case Field::kFunc: return compare_text(names[s.func], p.op, p.text);
+    case Field::kProcess: return compare_text(names[s.process], p.op, p.text);
+    case Field::kNode: return compare_text(names[s.node], p.op, p.text);
+    case Field::kType: return compare_text(names[s.type], p.op, p.text);
     case Field::kOutcome:
       return compare_text(monitor::to_string(s.outcome), p.op, p.text);
     case Field::kKind:
@@ -122,89 +112,90 @@ bool eval_pred(const Predicate& p, const Span& s) {
   return false;
 }
 
-bool eval_expr(const Expr* e, const Span& s) {
+bool eval_expr(const Expr* e, const Span& s, const Names& names) {
   if (e == nullptr) return true;
   switch (e->kind) {
-    case Expr::Kind::kPred: return eval_pred(e->pred, s);
+    case Expr::Kind::kPred: return eval_pred(e->pred, s, names);
     case Expr::Kind::kAnd:
       for (const auto& arg : e->args) {
-        if (!eval_expr(arg.get(), s)) return false;
+        if (!eval_expr(arg.get(), s, names)) return false;
       }
       return true;
     case Expr::Kind::kOr:
       for (const auto& arg : e->args) {
-        if (eval_expr(arg.get(), s)) return true;
+        if (eval_expr(arg.get(), s, names)) return true;
       }
       return false;
-    case Expr::Kind::kNot: return !eval_expr(e->args[0].get(), s);
+    case Expr::Kind::kNot: return !eval_expr(e->args[0].get(), s, names);
   }
   return false;
 }
 
 // ---------------------------------------------------------------------------
-// Event gathering
+// Decode and gather
 
-struct Gather {
-  // Insertion-ordered per-chain event lists: iterate chains in first-seen
-  // order so runs are deterministic regardless of hash seeding.
-  std::unordered_map<Uuid, std::size_t> chain_index;
-  std::vector<std::pair<Uuid, std::vector<Ev>>> chains;
-  // Keeps every decoded segment's string pool alive for the Ev views.
-  std::vector<std::shared_ptr<std::deque<std::string>>> pools;
-
-  std::vector<Ev>& events_for(const Uuid& chain) {
-    auto [it, inserted] = chain_index.emplace(chain, chains.size());
-    if (inserted) chains.emplace_back(chain, std::vector<Ev>{});
-    return chains[it->second].second;
-  }
+// One decoded row, by reference: the bundle that holds it, its row there,
+// and its event number (the pairing order).
+struct Ref {
+  std::uint64_t seq;
+  std::uint32_t bundle, row;
 };
 
-void gather_bundle(Gather& g, const ColumnBundle& cols) {
-  g.pools.push_back(cols.strings);
-  std::size_t row = 0;
-  for (const auto& run : cols.runs) {
-    auto& events = g.events_for(run.chain);
-    for (std::uint64_t k = 0; k < run.length; ++k, ++row) {
-      Ev ev;
-      ev.seq = cols.seq[row];
-      ev.vstart = cols.value_start[row];
-      ev.vend = cols.value_end[row];
-      ev.iface = cols.table[cols.iface[row]];
-      ev.func = cols.table[cols.func[row]];
-      ev.process = cols.table[cols.process[row]];
-      ev.node = cols.table[cols.node[row]];
-      ev.type = cols.table[cols.type[row]];
-      ev.object_key = cols.object_key[row];
-      const std::uint8_t f1 = cols.flags1[row];
-      ev.event = static_cast<EventKind>(f1 & 7);
-      ev.kind = static_cast<CallKind>((f1 >> 3) & 3);
-      ev.outcome = static_cast<CallOutcome>((f1 >> 5) & 3);
-      ev.mode = static_cast<ProbeMode>(cols.flags2[row] & 3);
-      events.push_back(ev);
+// Every bundle the query decodes, alive for the whole run, and each
+// chain's rows gathered by reference across them -- rotation can split a
+// chain mid-call, and catalog order keeps sealed files in write order.
+struct Scan {
+  std::vector<ColumnBundle> bundles;
+  // Query-wide dense name ids.  add() rebases each bundle's id columns
+  // from its own table onto these, so one id is one string in every bundle
+  // and matching or grouping by name is an integer compare.  The outcome
+  // and kind names are interned first and keep those reserved ids.
+  Names names;
+  std::unordered_map<std::string_view, std::uint32_t> name_ids;
+  std::array<std::uint32_t, 4> outcome_ids{}, kind_ids{};
+  // Chains in first-seen order, so runs are deterministic regardless of
+  // hash seeding.
+  std::unordered_map<Uuid, std::size_t> chain_index;
+  std::vector<std::pair<Uuid, std::vector<Ref>>> chains;
+
+  Scan() {
+    for (std::uint8_t v = 0; v < 4; ++v) {
+      outcome_ids[v] = intern(monitor::to_string(static_cast<CallOutcome>(v)));
+      kind_ids[v] = intern(monitor::to_string(static_cast<CallKind>(v)));
     }
   }
-}
 
-void gather_logs(Gather& g, const monitor::CollectedLogs& logs) {
-  g.pools.push_back(logs.strings);
-  for (const auto& r : logs.records) {
-    Ev ev;
-    ev.seq = r.seq;
-    ev.vstart = r.value_start;
-    ev.vend = r.value_end;
-    ev.iface = r.interface_name;
-    ev.func = r.function_name;
-    ev.process = r.process_name;
-    ev.node = r.node_name;
-    ev.type = r.processor_type;
-    ev.object_key = r.object_key;
-    ev.event = r.event;
-    ev.kind = r.kind;
-    ev.outcome = r.outcome;
-    ev.mode = r.mode;
-    g.events_for(r.chain).push_back(ev);
+  std::uint32_t intern(std::string_view s) {
+    const auto [it, fresh] =
+        name_ids.try_emplace(s, static_cast<std::uint32_t>(names.size()));
+    if (fresh) names.push_back(s);
+    return it->second;
   }
-}
+
+  void add(ColumnBundle cols) {
+    std::vector<std::uint32_t> remap;
+    for (const std::string_view s : cols.table) remap.push_back(intern(s));
+    for (auto* ids :
+         {&cols.iface, &cols.func, &cols.process, &cols.node, &cols.type}) {
+      for (std::uint32_t& id : *ids) id = remap[id];
+    }
+    const auto bundle = static_cast<std::uint32_t>(bundles.size());
+    std::uint32_t row = 0;
+    for (const auto& run : cols.runs) {
+      const auto [it, fresh] =
+          chain_index.try_emplace(run.chain, chains.size());
+      if (fresh) chains.emplace_back(run.chain, std::vector<Ref>{});
+      auto& refs = chains[it->second].second;
+      for (std::uint64_t k = 0; k < run.length; ++k, ++row) {
+        refs.push_back({cols.seq[row], bundle, row});
+      }
+    }
+    // The refs carry seq, and nothing reads the thread column.
+    std::vector<std::uint64_t>().swap(cols.seq);
+    std::vector<std::uint64_t>().swap(cols.thread_ordinal);
+    bundles.push_back(std::move(cols));
+  }
+};
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -215,9 +206,10 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
   return bytes;
 }
 
-// Decodes every segment of one trace file into the gather, counting into
-// `stats`.  Handles any readable format version per segment.
-void scan_file(const std::string& path, Gather& g, QueryStats& stats) {
+// Decodes every segment of one trace file into the scan, counting into
+// `stats`.  v4/v5 segments decode column-form; v2/v3 decode record-major
+// and convert, so the executor sees one shape whatever the version.
+void scan_file(const std::string& path, Scan& scan, QueryStats& stats) {
   const auto bytes = read_file(path);
   std::size_t offset = 0;
   while (offset < bytes.size()) {
@@ -232,23 +224,15 @@ void scan_file(const std::string& path, Gather& g, QueryStats& stats) {
     if (is_segment) {
       const auto segment =
           std::span<const std::uint8_t>(bytes).subspan(offset, length);
-      const std::uint32_t version =
-          static_cast<std::uint32_t>(segment[4]) |
-          static_cast<std::uint32_t>(segment[5]) << 8 |
-          static_cast<std::uint32_t>(segment[6]) << 16 |
-          static_cast<std::uint32_t>(segment[7]) << 24;
-      if (version >= analysis::kTraceFormatV4) {
-        const ColumnBundle cols =
-            analysis::decode_trace_segment_columns(segment);
-        stats.records_scanned += cols.count;
-        gather_bundle(g, cols);
-      } else {
-        const monitor::CollectedLogs logs =
-            analysis::decode_trace_segment(segment);
-        stats.records_scanned += logs.records.size();
-        gather_logs(g, logs);
-      }
+      const std::uint32_t version = WireCursor(&segment[4], 4).read_u32();
+      ColumnBundle cols =
+          version >= analysis::kTraceFormatV4
+              ? analysis::decode_trace_segment_columns(segment)
+              : analysis::columns_from_logs(
+                    analysis::decode_trace_segment(segment));
+      stats.records_scanned += cols.count;
       stats.segments_decoded += 1;
+      scan.add(std::move(cols));
     }
     offset += length;
   }
@@ -256,91 +240,97 @@ void scan_file(const std::string& path, Gather& g, QueryStats& stats) {
 }
 
 // ---------------------------------------------------------------------------
-// Span pairing (call_tree.cpp's ChainParser, minus the tree)
+// Span pairing (call_tree.cpp's ChainParser, minus the tree), over refs
 
-void emit_span(std::vector<Span>& out, const Uuid& chain, const Ev& open,
-               const std::optional<Ev>& skel_open,
-               const std::optional<Ev>& skel_close,
-               const std::optional<Ev>& close) {
-  Span s;
-  s.chain = chain;
-  s.iface = open.iface;
-  s.func = open.func;
-  s.process = open.process;
-  s.node = open.node;
-  s.type = open.type;
-  s.object_key = open.object_key;
-  s.kind = open.kind;
-  const Ev& last = close ? *close : *skel_close;
-  s.outcome = last.outcome;
-  s.open_ts = open.vstart;
-  s.close_ts = last.vstart;
+constexpr std::uint32_t kNone = ~0u;
+
+// An open call: indices into the chain's sorted refs, plus the opening
+// row's iface/func ids for matching.
+struct Frame {
+  std::uint32_t open;  // stub_start, or skel_start for a skeleton-rooted frame
+  std::uint32_t skel_open, skel_close, iface, func;
+  bool has_stub;
+};
+
+Span make_span(const Scan& scan, const Uuid& chain,
+               const std::vector<Ref>& refs, const Frame& f,
+               std::uint32_t close) {
+  const std::uint32_t last = close != kNone ? close : f.skel_close;
+  const Ref& o = refs[f.open];
+  const Ref& l = refs[last];
+  const ColumnBundle& oc = scan.bundles[o.bundle];
+  const ColumnBundle& lc = scan.bundles[l.bundle];
+  Span s{chain, oc.iface[o.row], oc.func[o.row], oc.process[o.row],
+         oc.node[o.row], oc.type[o.row], oc.object_key[o.row],
+         static_cast<CallKind>((oc.flags1[o.row] >> 3) & 3),
+         static_cast<CallOutcome>((lc.flags1[l.row] >> 5) & 3),
+         oc.value_start[o.row], lc.value_start[l.row], std::nullopt};
   // Which record pair bounds the latency window mirrors latency.cpp: the
   // stub pair for sync and stub-side oneway, the skeleton pair for
   // collocated calls and skeleton-rooted (spawned-side) frames.
-  const Ev* first = &open;
-  const Ev* second = &last;
-  if (open.kind == CallKind::kCollocated && close) {
-    if (skel_open && skel_close) {
-      first = &*skel_open;
-      second = &*skel_close;
-    } else {
-      first = nullptr;  // collocated call with no skeleton pair: no latency
-    }
+  const Ref* first = &o;
+  const Ref* second = &l;
+  if (s.kind == CallKind::kCollocated && close != kNone) {
+    if (f.skel_close == kNone) return s;  // no skeleton pair: no latency
+    first = &refs[f.skel_open];
+    second = &refs[f.skel_close];
   }
-  if (first != nullptr && first->mode == ProbeMode::kLatency &&
-      second->mode == ProbeMode::kLatency) {
-    s.latency = second->vstart - first->vend;
+  const ColumnBundle& fc = scan.bundles[first->bundle];
+  const ColumnBundle& sc = scan.bundles[second->bundle];
+  if (static_cast<ProbeMode>(fc.flags2[first->row] & 3) ==
+          ProbeMode::kLatency &&
+      static_cast<ProbeMode>(sc.flags2[second->row] & 3) ==
+          ProbeMode::kLatency) {
+    s.latency = sc.value_start[second->row] - fc.value_end[first->row];
   }
-  out.push_back(s);
+  return s;
 }
 
-void pair_chain(const Uuid& chain, std::vector<Ev>& events,
-                std::vector<Span>& out) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Ev& a, const Ev& b) { return a.seq < b.seq; });
-  struct Frame {
-    Ev open;  // stub_start, or skel_start for a skeleton-rooted frame
-    bool has_stub{false};
-    std::optional<Ev> skel_open, skel_close;
-  };
-  std::vector<Frame> stack;
-  auto matches = [&](const Ev& ev) {
-    return !stack.empty() && stack.back().open.iface == ev.iface &&
-           stack.back().open.func == ev.func;
-  };
-  for (const Ev& ev : events) {
-    switch (ev.event) {
+// Orders one chain's refs by event number -- stable, so equal numbers keep
+// arrival order, and skipped when they arrived in order -- then
+// stack-pairs them, handing each completed call to `emit`.
+template <typename Emit>
+void pair_chain(const Scan& scan, const Uuid& chain, std::vector<Ref>& refs,
+                std::vector<Frame>& stack, Emit&& emit) {
+  auto by_seq = [](const Ref& a, const Ref& b) { return a.seq < b.seq; };
+  if (!std::is_sorted(refs.begin(), refs.end(), by_seq)) {
+    std::stable_sort(refs.begin(), refs.end(), by_seq);
+  }
+  stack.clear();
+  for (std::uint32_t i = 0; i < refs.size(); ++i) {
+    const ColumnBundle& c = scan.bundles[refs[i].bundle];
+    const std::uint32_t row = refs[i].row;
+    const std::uint32_t iface = c.iface[row], func = c.func[row];
+    const bool matches = !stack.empty() && stack.back().iface == iface &&
+                         stack.back().func == func;
+    switch (static_cast<EventKind>(c.flags1[row] & 7)) {
       case EventKind::kStubStart:
-        stack.push_back(Frame{ev, true, std::nullopt, std::nullopt});
+        stack.push_back({i, kNone, kNone, iface, func, true});
         break;
       case EventKind::kSkelStart:
         if (stack.empty()) {
           // Skeleton-rooted: spawned side of a oneway, or an
           // uninstrumented caller.
-          stack.push_back(Frame{ev, false, ev, std::nullopt});
-        } else if (!stack.back().skel_open && matches(ev)) {
-          stack.back().skel_open = ev;
+          stack.push_back({i, i, kNone, iface, func, false});
+        } else if (stack.back().skel_open == kNone && matches) {
+          stack.back().skel_open = i;
         }
         // else: anomalous record; the DSCG reports those, a query skips.
         break;
       case EventKind::kSkelEnd:
-        if (!stack.empty() && stack.back().skel_open &&
-            !stack.back().skel_close && matches(ev)) {
-          stack.back().skel_close = ev;
+        if (matches && stack.back().skel_open != kNone &&
+            stack.back().skel_close == kNone) {
+          stack.back().skel_close = i;
           if (!stack.back().has_stub) {
-            Frame f = std::move(stack.back());
+            emit(make_span(scan, chain, refs, stack.back(), kNone));
             stack.pop_back();
-            emit_span(out, chain, f.open, f.skel_open, f.skel_close,
-                      std::nullopt);
           }
         }
         break;
       case EventKind::kStubEnd:
-        if (!stack.empty() && stack.back().has_stub && matches(ev)) {
-          Frame f = std::move(stack.back());
+        if (matches && stack.back().has_stub) {
+          emit(make_span(scan, chain, refs, stack.back(), i));
           stack.pop_back();
-          emit_span(out, chain, f.open, f.skel_open, f.skel_close, ev);
         }
         break;
     }
@@ -356,17 +346,20 @@ struct GroupAcc {
   std::vector<std::int64_t> latencies;
 };
 
-std::string group_key(const Query& q, const Span& s) {
-  if (!q.group_by) return {};
+// The cell a span aggregates into: its group field's name id, or the one
+// cell 0 when the query does not group.
+std::uint32_t group_id(const Query& q, const Scan& scan, const Span& s) {
+  if (!q.group_by) return 0;
   switch (*q.group_by) {
-    case Field::kIface: return std::string(s.iface);
-    case Field::kFunc: return std::string(s.func);
-    case Field::kProcess: return std::string(s.process);
-    case Field::kNode: return std::string(s.node);
-    case Field::kType: return std::string(s.type);
-    case Field::kOutcome: return std::string(monitor::to_string(s.outcome));
-    case Field::kKind: return std::string(monitor::to_string(s.kind));
-    default: return {};  // parser only admits the above
+    case Field::kIface: return s.iface;
+    case Field::kFunc: return s.func;
+    case Field::kProcess: return s.process;
+    case Field::kNode: return s.node;
+    case Field::kType: return s.type;
+    case Field::kOutcome:
+      return scan.outcome_ids[static_cast<std::size_t>(s.outcome)];
+    case Field::kKind: return scan.kind_ids[static_cast<std::size_t>(s.kind)];
+    default: return 0;  // parser only admits the above
   }
 }
 
@@ -429,7 +422,7 @@ QueryResult run_query(const Query& q,
       q.until.value_or(std::numeric_limits<std::int64_t>::max());
   const bool windowed = q.since.has_value() || q.until.has_value();
 
-  Gather gather;
+  Scan scan;
   for (const std::string& input : inputs) {
     if (store::is_store_directory(input)) {
       const store::StoreView view = store::open_store(input);
@@ -448,31 +441,29 @@ QueryResult run_query(const Query& q,
             continue;
           }
         }
-        scan_file(file.path, gather, result.stats);
+        scan_file(file.path, scan, result.stats);
       }
     } else {
       result.stats.files_total += 1;
-      scan_file(input, gather, result.stats);
+      scan_file(input, scan, result.stats);
     }
   }
 
-  std::vector<Span> spans;
-  for (auto& [chain, events] : gather.chains) {
-    pair_chain(chain, events, spans);
-  }
-  result.stats.spans_total = spans.size();
-
-  std::map<std::string, GroupAcc> groups;
-  for (const Span& s : spans) {
-    // The window clauses bound the whole span: it opens at or after
-    // `since` and closes at or before `until` -- the invariant that makes
-    // both catalog prune directions exact, not approximate.
-    if (s.open_ts < since || s.close_ts > until) continue;
-    if (!eval_expr(q.where.get(), s)) continue;
-    result.stats.spans_matched += 1;
-    GroupAcc& acc = groups[group_key(q, s)];
-    acc.count += 1;
-    if (s.latency) acc.latencies.push_back(*s.latency);
+  std::vector<GroupAcc> cells(q.group_by ? scan.names.size() : 1);
+  std::vector<Frame> stack;
+  for (auto& [chain, refs] : scan.chains) {
+    pair_chain(scan, chain, refs, stack, [&](const Span& s) {
+      result.stats.spans_total += 1;
+      // The window clauses bound the whole span: it opens at or after
+      // `since` and closes at or before `until` -- the invariant that
+      // makes both catalog prune directions exact, not approximate.
+      if (s.open_ts < since || s.close_ts > until) return;
+      if (!eval_expr(q.where.get(), s, scan.names)) return;
+      result.stats.spans_matched += 1;
+      GroupAcc& acc = cells[group_id(q, scan, s)];
+      acc.count += 1;
+      if (s.latency) acc.latencies.push_back(*s.latency);
+    });
   }
 
   if (q.group_by) {
@@ -481,12 +472,21 @@ QueryResult run_query(const Query& q,
   for (const AggFunc f : q.aggs) {
     result.columns.push_back(std::string(to_string(f)));
   }
-  // A global (ungrouped) query always yields one row, even over nothing.
-  if (!q.group_by && groups.empty()) groups.emplace("", GroupAcc{});
-  for (auto& [key, acc] : groups) {
+  // Rows are the cells some span reached, in name order (the order of a
+  // std::string-keyed map).  A global (ungrouped) query always yields its
+  // one row, even over nothing.
+  std::vector<std::uint32_t> order;
+  for (std::uint32_t id = 0; id < cells.size(); ++id) {
+    if (cells[id].count > 0 || !q.group_by) order.push_back(id);
+  }
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return scan.names[a] < scan.names[b];
+  });
+  for (const std::uint32_t id : order) {
+    GroupAcc& acc = cells[id];
     std::sort(acc.latencies.begin(), acc.latencies.end());
     QueryResult::Row row;
-    row.group = key;
+    if (q.group_by) row.group = std::string(scan.names[id]);
     for (const AggFunc f : q.aggs) {
       row.values.push_back(aggregate(f, acc, acc.latencies));
     }

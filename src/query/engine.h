@@ -8,16 +8,20 @@
 // QueryStats counters expose exactly that, so tests can assert pruning
 // happened rather than trust that it did.
 //
-// Execution decodes each opened file segment by segment (column-form for
-// v4/v5, record-major for v2/v3), gathers call events per chain *across*
-// files -- rotation can split a chain mid-call, and catalog order keeps
-// sealed files in write order -- sorts each chain by event number, and
-// stack-pairs open/close events into spans (the call_tree.cpp pairing,
-// minus the tree).  Aggregations then run over the spans that pass the
-// window and `where` filters.  Results are deterministic: group rows are
-// emitted in sorted key order, and percentiles are nearest-rank over the
-// fully sorted latency vector, so shard count, compression, and varint
-// kernel never change a byte of output.
+// Execution decodes each opened file segment by segment into column
+// bundles (v2/v3 segments convert through analysis::columns_from_logs) and
+// keeps every bundle alive for the whole query.  Each bundle's string table
+// is interned once into query-wide dense ids.  Each chain's rows are
+// gathered *across* files -- rotation can split a chain mid-call, and
+// catalog order keeps sealed files in write order -- as row references
+// {seq, bundle, row}, sorted by event number only when they arrived out of
+// order, and stack-paired into spans (the call_tree.cpp pairing, minus the
+// tree) with name matching as an id compare.  Spans that pass the window
+// and `where` filters aggregate into cells indexed by their group's id.
+// Results are deterministic: group rows are emitted in name order, and
+// percentiles are nearest-rank over the fully sorted latency vector, so
+// shard count, compression, format version and varint kernel never change
+// a byte of output.
 #pragma once
 
 #include <optional>

@@ -1138,6 +1138,78 @@ TEST(TraceIo, EncodeTraceColumnsRoundTripsThroughDecode) {
   EXPECT_EQ(encode_trace_columns(bundles[0]), bytes);
 }
 
+TEST(TraceIo, ColumnsFromLogsRoundTripsThroughV4) {
+  // columns_from_logs is the inverse of record assembly: encoding its
+  // bundle and decoding the segment gives back every record field for
+  // field -- spawned chains and sample-rate indexes included -- and the
+  // bundle encodes to the very bytes the records do.
+  workload::LogSynthConfig config;
+  config.total_calls = 2'000;
+  LogDatabase source;
+  workload::synthesize_logs(config, source);
+  monitor::CollectedLogs logs = sample_logs();
+  logs.records = source.records();
+  logs.epoch = 7;
+  logs.dropped = 2;
+  std::size_t spawned = 0;
+  for (std::size_t i = 0; i < logs.records.size(); ++i) {
+    logs.records[i].sample_rate_index = static_cast<std::uint8_t>(i % 32);
+    if (!logs.records[i].spawned_chain.is_nil()) ++spawned;
+  }
+  ASSERT_GT(spawned, 0u);
+
+  const ColumnBundle cols = columns_from_logs(logs);
+  EXPECT_EQ(cols.count, logs.records.size());
+  EXPECT_EQ(cols.spawned.size(), spawned);
+  const auto bytes = encode_trace_columns(cols, kTraceFormatV4);
+  EXPECT_EQ(bytes, encode_trace(logs, kTraceFormatV4));
+
+  const monitor::CollectedLogs back = decode_trace_segment(bytes);
+  EXPECT_EQ(back.epoch, logs.epoch);
+  EXPECT_EQ(back.dropped, logs.dropped);
+  ASSERT_EQ(back.domains.size(), logs.domains.size());
+  for (std::size_t i = 0; i < logs.domains.size(); ++i) {
+    EXPECT_EQ(back.domains[i].identity.process_name,
+              logs.domains[i].identity.process_name);
+    EXPECT_EQ(back.domains[i].identity.node_name,
+              logs.domains[i].identity.node_name);
+    EXPECT_EQ(back.domains[i].identity.processor_type,
+              logs.domains[i].identity.processor_type);
+    EXPECT_EQ(back.domains[i].mode, logs.domains[i].mode);
+    EXPECT_EQ(back.domains[i].record_count, logs.domains[i].record_count);
+  }
+  ASSERT_EQ(back.records.size(), logs.records.size());
+  for (std::size_t i = 0; i < logs.records.size(); ++i) {
+    const monitor::TraceRecord& a = logs.records[i];
+    const monitor::TraceRecord& b = back.records[i];
+    EXPECT_EQ(b.chain, a.chain) << i;
+    EXPECT_EQ(b.seq, a.seq) << i;
+    EXPECT_EQ(b.event, a.event) << i;
+    EXPECT_EQ(b.kind, a.kind) << i;
+    EXPECT_EQ(b.outcome, a.outcome) << i;
+    EXPECT_EQ(b.spawned_chain, a.spawned_chain) << i;
+    EXPECT_EQ(b.interface_name, a.interface_name) << i;
+    EXPECT_EQ(b.function_name, a.function_name) << i;
+    EXPECT_EQ(b.object_key, a.object_key) << i;
+    EXPECT_EQ(b.process_name, a.process_name) << i;
+    EXPECT_EQ(b.node_name, a.node_name) << i;
+    EXPECT_EQ(b.processor_type, a.processor_type) << i;
+    EXPECT_EQ(b.thread_ordinal, a.thread_ordinal) << i;
+    EXPECT_EQ(b.mode, a.mode) << i;
+    EXPECT_EQ(b.sample_rate_index, a.sample_rate_index) << i;
+    EXPECT_EQ(b.value_start, a.value_start) << i;
+    EXPECT_EQ(b.value_end, a.value_end) << i;
+  }
+}
+
+TEST(TraceIo, ColumnsFromLogsRejectsUnpackableFlags) {
+  // A corrupt v2/v3 record can carry a whole byte where the column form
+  // has two or three bits; converting it must throw, not alias.
+  auto logs = sample_logs();
+  logs.records[2].kind = static_cast<monitor::CallKind>(9);
+  EXPECT_THROW(columns_from_logs(logs), TraceIoError);
+}
+
 TEST(TraceIo, EncodeStreamMatchesSerialLoop) {
   // Multi-segment packing (parallel when the pool allows) must commit in
   // input order and byte-match a serial encode of each bundle, for both
