@@ -56,7 +56,9 @@ namespace {
 std::uint64_t node_seq(const CallNode& node) {
   std::uint64_t seq = 0;
   bool have = false;
-  for (const auto& r : node.rec) {
+  for (int i = 1; i <= 4; ++i) {
+    const monitor::TraceRecord* r =
+        node.record(static_cast<monitor::EventKind>(i));
     if (r && (!have || r->seq < seq)) {
       seq = r->seq;
       have = true;
@@ -93,10 +95,9 @@ void AnomalyDetector::scan(const Dscg& dscg, std::span<const Uuid> rebuilt,
     Dscg::visit_tree(*tree, [&](const CallNode& node, int) {
       // Only this chain's own nodes -- spawned chains get their own scan
       // when they are rebuilt.
-      const auto& any = node.record(monitor::EventKind::kSkelEnd);
-      const auto& stub = node.record(monitor::EventKind::kStubEnd);
       const monitor::TraceRecord* owner =
-          any ? &*any : (stub ? &*stub : nullptr);
+          node.record(monitor::EventKind::kSkelEnd);
+      if (!owner) owner = node.record(monitor::EventKind::kStubEnd);
       if (!owner || !(owner->chain == id)) return;
       if (!node.failed()) return;
       const std::uint64_t seq = node_seq(node);

@@ -1,5 +1,6 @@
 #include "analysis/call_tree.h"
 
+#include "analysis/database.h"
 #include "common/strings.h"
 
 namespace causeway::analysis {
@@ -60,12 +61,14 @@ namespace {
 // Incremental parser state over one chain.
 class ChainParser {
  public:
-  explicit ChainParser(const Uuid& chain) {
+  ChainParser(const Uuid& chain, const std::vector<TraceRecord>& arena)
+      : arena_(arena) {
     tree_.chain = chain;
     tree_.root = std::make_unique<CallNode>();
     current_ = tree_.root.get();
   }
 
+  // `r` must be a row of the arena.
   void feed(const TraceRecord& r) {
     check_sequence(r);
     switch (r.event) {
@@ -101,7 +104,8 @@ class ChainParser {
     node->object_key = r.object_key;
     node->kind = r.kind;
     node->spawned_chain = r.spawned_chain;
-    node->rec[0] = r;
+    node->arena = &arena_;
+    node->rec[0] = slot(r);
     node->parent = current_;
     current_->children.push_back(std::move(node));
     current_ = current_->children.back().get();
@@ -120,7 +124,8 @@ class ChainParser {
         node->function_name = r.function_name;
         node->object_key = r.object_key;
         node->kind = r.kind;
-        node->rec[1] = r;
+        node->arena = &arena_;
+        node->rec[1] = slot(r);
         node->parent = current_;
         current_->children.push_back(std::move(node));
         current_ = current_->children.back().get();
@@ -129,43 +134,48 @@ class ChainParser {
       anomaly(r.seq, "skel_start with no open call");
       return;
     }
-    if (current_->rec[1] || !matches(r)) {
+    if (has(1) || !matches(r)) {
       anomaly(r.seq, "skel_start does not continue the open call");
       return;
     }
-    current_->rec[1] = r;
+    current_->rec[1] = slot(r);
   }
 
   void on_skel_end(const TraceRecord& r) {
-    if (current_->is_virtual_root() || !current_->rec[1] ||
-        current_->rec[2] || !matches(r)) {
+    if (current_->is_virtual_root() || !has(1) || has(2) || !matches(r)) {
       anomaly(r.seq, "skel_end without matching skel_start");
       return;
     }
-    current_->rec[2] = r;
+    current_->rec[2] = slot(r);
     // "One-Way Function Skel-Side Returns": a skeleton-rooted frame has no
     // stub events, so skel_end closes it.
-    if (!current_->rec[0]) {
+    if (!has(0)) {
       current_ = current_->parent;
     }
   }
 
   void on_stub_end(const TraceRecord& r) {
-    if (current_->is_virtual_root() || !current_->rec[0] ||
-        current_->rec[3] || !matches(r)) {
+    if (current_->is_virtual_root() || !has(0) || has(3) || !matches(r)) {
       anomaly(r.seq, "stub_end without matching stub_start");
       return;
     }
-    if (r.kind != CallKind::kOneway && !current_->rec[2]) {
+    if (r.kind != CallKind::kOneway && !has(2)) {
       // A sync call returning without skeleton events means the callee was
       // not instrumented (legal, partial data) -- note it, keep the node.
-      if (current_->rec[1]) {
+      if (has(1)) {
         anomaly(r.seq, "stub_end while skeleton still open");
       }
     }
-    current_->rec[3] = r;
+    current_->rec[3] = slot(r);
     current_ = current_->parent;
   }
+
+  std::uint32_t slot(const TraceRecord& r) const {
+    return static_cast<std::uint32_t>(&r - arena_.data());
+  }
+
+  // Whether the open call already holds probe record `i` (EventKind - 1).
+  bool has(int i) const { return current_->rec[i] != CallNode::kNoRecord; }
 
   bool matches(const TraceRecord& r) const {
     return r.function_name == current_->function_name &&
@@ -179,6 +189,7 @@ class ChainParser {
     tree_.anomalies.push_back({seq, std::move(reason)});
   }
 
+  const std::vector<TraceRecord>& arena_;
   ChainTree tree_;
   CallNode* current_;
   std::uint64_t last_seq_{0};
@@ -187,10 +198,9 @@ class ChainParser {
 
 }  // namespace
 
-ChainTree build_chain_tree(
-    const Uuid& chain, const std::vector<const TraceRecord*>& events) {
-  ChainParser parser(chain);
-  for (const TraceRecord* r : events) parser.feed(*r);
+ChainTree build_chain_tree(const Uuid& chain, const LogDatabase& db) {
+  ChainParser parser(chain, db.records());
+  for (const TraceRecord* r : db.chain_events(chain)) parser.feed(*r);
   return parser.finish();
 }
 

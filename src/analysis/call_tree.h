@@ -13,8 +13,14 @@
 //
 // Records that fit no legal transition take the paper's "abnormal" path: the
 // anomaly is recorded and parsing restarts from the next record.
+//
+// A node holds its probe records as indexes into the LogDatabase's arena, so
+// a tree reads them through the database it was built from: that database
+// must outlive the tree and must not be moved while the tree exists.  Arena
+// growth (further ingest) is safe; a node keeps the vector's address only.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,6 +32,8 @@
 #include "monitor/record.h"
 
 namespace causeway::analysis {
+
+class LogDatabase;
 
 struct CpuVector {
   // CPU nanoseconds per processor type -- the paper's <C1, C2, ... CM>.
@@ -49,10 +57,13 @@ struct CallNode {
   std::uint64_t object_key{0};
   monitor::CallKind kind{monitor::CallKind::kSync};
 
-  // The four probe records, indexed by EventKind - 1.  A sync call has all
-  // four; a oneway stub-side node has 0/3; a oneway skeleton-side node has
-  // 1/2; a node facing an uninstrumented peer is partial.
-  std::optional<monitor::TraceRecord> rec[4];
+  // The four probe records, indexed by EventKind - 1, as slots in `arena`
+  // (kNoRecord when absent).  A sync call has all four; a oneway stub-side
+  // node has 0/3; a oneway skeleton-side node has 1/2; a node facing an
+  // uninstrumented peer is partial.
+  static constexpr std::uint32_t kNoRecord = UINT32_MAX;
+  std::uint32_t rec[4] = {kNoRecord, kNoRecord, kNoRecord, kNoRecord};
+  const std::vector<monitor::TraceRecord>* arena{nullptr};
 
   CallNode* parent{nullptr};
   std::vector<std::unique_ptr<CallNode>> children;
@@ -69,9 +80,10 @@ struct CallNode {
   CpuVector self_cpu;                  // SC_F
   CpuVector descendant_cpu;            // DC_F
 
-  const std::optional<monitor::TraceRecord>& record(
-      monitor::EventKind e) const {
-    return rec[static_cast<std::size_t>(e) - 1];
+  // The probe record for event `e`, or nullptr when it was not captured.
+  const monitor::TraceRecord* record(monitor::EventKind e) const {
+    const std::uint32_t i = rec[static_cast<std::size_t>(e) - 1];
+    return i == kNoRecord ? nullptr : &(*arena)[i];
   }
   bool is_virtual_root() const { return interface_name.empty(); }
 
@@ -96,6 +108,9 @@ struct CallNode {
 
   std::size_t subtree_size() const;  // nodes, excluding the virtual root
 };
+
+// Records live in the database; a field that brought copies back fails here.
+static_assert(sizeof(CallNode) <= 256, "CallNode must not hold record copies");
 
 struct Anomaly {
   std::uint64_t seq{0};
@@ -124,9 +139,10 @@ struct ChainTree {
 // flips mid-stream.
 void reset_annotations(ChainTree& tree);
 
-// Replays one chain's sorted events through the reconstruction state
-// machine. `events` must be sorted by ascending seq (LogDatabase does this).
-ChainTree build_chain_tree(const Uuid& chain,
-                           const std::vector<const monitor::TraceRecord*>& events);
+// Replays one chain's events, in the ascending seq order chain_events gives,
+// through the reconstruction state machine.  The nodes refer to `db`'s
+// records by index, so `db` must outlive the tree and must not be moved
+// while it exists; ingesting more into `db` is safe.
+ChainTree build_chain_tree(const Uuid& chain, const LogDatabase& db);
 
 }  // namespace causeway::analysis

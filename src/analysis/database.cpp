@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
+#include "analysis/call_tree.h"
 #include "analysis/columns.h"
+#include "common/strings.h"
 #include "common/worker_pool.h"
 
 namespace causeway::analysis {
@@ -78,7 +81,7 @@ void LogDatabase::Shard::ingest_batch(
       ++index.sorted_prefix;
       index.prefix_last_seq = r.seq;
     }
-    index.events.push_back(base + i);
+    index.events.push_back(static_cast<std::uint32_t>(base + i));
 
     mode_counts[static_cast<std::size_t>(r.mode)]++;
     if (type_set.insert(r.processor_type).second) {
@@ -162,7 +165,7 @@ void LogDatabase::Shard::ingest_column_batch(
         ++index.sorted_prefix;
         index.prefix_last_seq = r.seq;
       }
-      index.events.push_back(base + i);
+      index.events.push_back(static_cast<std::uint32_t>(base + i));
       mode_counts[static_cast<std::size_t>(r.mode)]++;
     }
   }
@@ -201,6 +204,11 @@ std::size_t LogDatabase::grow_arena(std::size_t n) {
   // up front so the shards can scatter-write their disjoint slots.
   const std::size_t base = records_.size();
   const std::size_t needed = base + n;
+  if (needed >= CallNode::kNoRecord) {
+    throw std::length_error(strf(
+        "LogDatabase: %zu records would reach the %u-record arena limit",
+        needed, CallNode::kNoRecord));
+  }
   if (records_.capacity() < needed) {
     records_.reserve(std::max(needed, records_.capacity() * 2));
   }
@@ -222,8 +230,8 @@ void LogDatabase::ingest(const ColumnBundle& cols) {
   overflow_dropped_ += cols.dropped;
   last_epoch_ = std::max(last_epoch_, cols.epoch);
   if (cols.count == 0) return;  // no generation for an empty batch
-  ++generation_;
   const std::size_t base = grow_arena(cols.count);
+  ++generation_;
 
   // Partition by chain at *run* granularity: one hash + one queue push per
   // run instead of per record.  Every record of a run shares its chain, so
@@ -250,8 +258,8 @@ void LogDatabase::ingest(const ColumnBundle& cols) {
 void LogDatabase::ingest_records(
     std::span<const monitor::TraceRecord> records) {
   if (records.empty()) return;
-  ++generation_;
   const std::size_t base = grow_arena(records.size());
+  ++generation_;
 
   // Partition by chain UUID.  Every event of a chain maps to one shard, so
   // the parallel phase below has no cross-shard writes at all.
@@ -332,7 +340,7 @@ std::vector<const monitor::TraceRecord*> LogDatabase::chain_events(
   if (it == shard.by_chain.end()) return out;
   const ChainIndex& index = it->second;
   out.reserve(index.events.size());
-  for (std::size_t i : index.events) out.push_back(&records_[i]);
+  for (const std::uint32_t i : index.events) out.push_back(&records_[i]);
   if (index.sorted_prefix >= out.size()) return out;  // already ascending
   // Out-of-order tail (rare: cross-thread interleaving or corrupt logs):
   // sort only the tail, then stable-merge with the sorted prefix.  Both

@@ -76,6 +76,10 @@ class LogDatabase {
   // directly). String views are interned; the source may die afterwards.
   void ingest_records(std::span<const monitor::TraceRecord> records);
 
+  // The record arena, in arrival order.  Call-tree nodes index its rows
+  // through this vector's address: the database must outlive its trees and
+  // must not be moved while they exist (further ingest is safe).  Ingest
+  // throws std::length_error before the arena reaches CallNode::kNoRecord.
   const std::vector<monitor::TraceRecord>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
 
@@ -151,8 +155,8 @@ class LogDatabase {
 
  private:
   struct ChainIndex {
-    std::vector<std::size_t> events;  // indexes into records_, log order
-    std::uint64_t last_gen{0};        // generation of the newest event
+    std::vector<std::uint32_t> events;  // indexes into records_, log order
+    std::uint64_t last_gen{0};          // generation of the newest event
     // Watermark: the first `sorted_prefix` entries of `events` are already
     // in ascending seq order, and `prefix_last_seq` is the seq of the last
     // of them.  Events arrive in order in the common case, so chain_events

@@ -27,8 +27,7 @@ void build_trees(const LogDatabase& db, const std::vector<Uuid>& dirty,
                  std::vector<std::unique_ptr<ChainTree>>& out) {
   out.resize(dirty.size());
   auto build_one = [&](std::size_t i) {
-    out[i] = std::make_unique<ChainTree>(
-        build_chain_tree(dirty[i], db.chain_events(dirty[i])));
+    out[i] = std::make_unique<ChainTree>(build_chain_tree(dirty[i], db));
   };
 
   if (dirty.size() < kParallelThreshold ||

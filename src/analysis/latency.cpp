@@ -9,7 +9,7 @@ using monitor::TraceRecord;
 
 namespace {
 
-bool latency_record(const std::optional<TraceRecord>& r) {
+bool latency_record(const TraceRecord* r) {
   return r && r->mode == ProbeMode::kLatency;
 }
 
@@ -20,7 +20,8 @@ Nanos own_probe_cost(const CallNode& node) {
   for (int i = 0; i < 4; ++i) {
     const bool stub_side = (i == 0 || i == 3);
     if (node.kind == CallKind::kOneway && !stub_side) continue;
-    if (latency_record(node.rec[i])) sum += node.rec[i]->probe_self_cost();
+    const TraceRecord* r = node.record(static_cast<EventKind>(i + 1));
+    if (latency_record(r)) sum += r->probe_self_cost();
   }
   return sum;
 }
@@ -46,33 +47,33 @@ void annotate_node(CallNode& node, LatencyReport& report) {
   node.latency_overhead = 0;
   node.raw_latency.reset();
 
-  const std::optional<TraceRecord>*first = nullptr, *last = nullptr;
+  const TraceRecord *first = nullptr, *last = nullptr;
   switch (node.kind) {
     case CallKind::kSync:
-      first = &node.record(EventKind::kStubStart);
-      last = &node.record(EventKind::kStubEnd);
+      first = node.record(EventKind::kStubStart);
+      last = node.record(EventKind::kStubEnd);
       break;
     case CallKind::kCollocated:
-      first = &node.record(EventKind::kSkelStart);
-      last = &node.record(EventKind::kSkelEnd);
+      first = node.record(EventKind::kSkelStart);
+      last = node.record(EventKind::kSkelEnd);
       break;
     case CallKind::kOneway:
       if (node.record(EventKind::kStubStart)) {
-        first = &node.record(EventKind::kStubStart);
-        last = &node.record(EventKind::kStubEnd);
+        first = node.record(EventKind::kStubStart);
+        last = node.record(EventKind::kStubEnd);
       } else {  // skeleton side of the spawned chain
-        first = &node.record(EventKind::kSkelStart);
-        last = &node.record(EventKind::kSkelEnd);
+        first = node.record(EventKind::kSkelStart);
+        last = node.record(EventKind::kSkelEnd);
       }
       break;
   }
 
-  if (!latency_record(*first) || !latency_record(*last)) {
+  if (!latency_record(first) || !latency_record(last)) {
     ++report.skipped;
     return;
   }
 
-  const Nanos raw = (*last)->value_start - (*first)->value_end;
+  const Nanos raw = last->value_start - first->value_end;
   const Nanos overhead = descendant_probe_cost(node);
   node.raw_latency = raw;
   node.latency_overhead = overhead;

@@ -3,10 +3,14 @@
 // "abnormal" recovery path.
 #include "analysis/call_tree.h"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
+#include "analysis/columns.h"
 #include "analysis/database.h"
 #include "analysis/dscg.h"
+#include "analysis/report.h"
 #include "analysis_test_util.h"
 
 namespace causeway::analysis {
@@ -16,11 +20,11 @@ using monitor::CallKind;
 using monitor::EventKind;
 using testutil::Scribe;
 
-// The tree's string views point into `db`, so the caller keeps it alive
-// for as long as it reads the tree.
+// The tree's nodes read their records (and string views) from `db`, so the
+// caller keeps it alive, unmoved, for as long as it reads the tree.
 ChainTree build(Scribe& scribe, LogDatabase& db) {
   db.ingest_records(scribe.records());
-  return build_chain_tree(scribe.chain(), db.chain_events(scribe.chain()));
+  return build_chain_tree(scribe.chain(), db);
 }
 
 TEST(CallTree, EmptyChain) {
@@ -138,7 +142,7 @@ TEST(CallTree, OnewayStubSideAndSpawn) {
   const CallNode& n = *tree.root->children[0];
   EXPECT_EQ(n.kind, CallKind::kOneway);
   EXPECT_EQ(n.spawned_chain, child);
-  EXPECT_FALSE(n.record(EventKind::kSkelStart).has_value());
+  EXPECT_EQ(n.record(EventKind::kSkelStart), nullptr);
 }
 
 TEST(CallTree, OnewaySkelSideChainWithNestedWork) {
@@ -184,8 +188,7 @@ TEST(CallTree, SequenceGapFlagged) {
 
   LogDatabase db;
   db.ingest_records(records);
-  ChainTree tree =
-      build_chain_tree(s.chain(), db.chain_events(s.chain()));
+  ChainTree tree = build_chain_tree(s.chain(), db);
   EXPECT_FALSE(tree.anomalies.empty());
   EXPECT_EQ(tree.call_count(), 1u);  // the call itself still reconstructed
 }
@@ -329,6 +332,68 @@ TEST(Database, QueriesAndInterning) {
   // Interned strings must not alias the (now mutated) source records.
   mixed.clear();
   EXPECT_EQ(db.records()[0].interface_name, "I");
+}
+
+// Nodes refer to their records by arena index, so they must keep reading
+// the right rows after further ingest reallocates the arena -- and an
+// incremental update over the grown database must still match a fresh build.
+TEST(CallTree, NodesSurviveArenaGrowth) {
+  LogDatabase db;
+  std::vector<Scribe> early(3);
+  for (std::size_t c = 0; c < early.size(); ++c) {
+    for (Nanos k = 0; k < 3; ++k) {
+      const Nanos b = 100 * k + static_cast<Nanos>(c);
+      Nanos t[8] = {b, b + 1, b + 2, b + 4, b + 7, b + 11, b + 16, b + 22};
+      early[c].leaf_sync("I", k == 1 ? "G" : "F", t);
+    }
+    db.ingest_records(early[c].records());
+  }
+  Dscg dscg = Dscg::build(db);
+  ASSERT_EQ(dscg.chains().size(), early.size());
+
+  const monitor::TraceRecord* before = db.records().data();
+  std::vector<Scribe> late;
+  while (db.records().data() == before && late.size() < 64) {
+    Scribe& s = late.emplace_back();
+    Nanos t[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+    s.leaf_sync("J", "H", t, "procC", "procD");
+    db.ingest_records(s.records());
+  }
+  ASSERT_NE(db.records().data(), before) << "the arena never reallocated";
+
+  for (const auto& tree : dscg.chains()) {
+    const auto events = db.chain_events(tree->chain);
+    ASSERT_EQ(events.size(), 4 * tree->root->children.size());
+    for (std::size_t j = 0; j < tree->root->children.size(); ++j) {
+      const CallNode& node = *tree->root->children[j];
+      for (int e = 1; e <= 4; ++e) {
+        const monitor::TraceRecord* got =
+            node.record(static_cast<EventKind>(e));
+        ASSERT_NE(got, nullptr);
+        const monitor::TraceRecord& want = *events[4 * j + (e - 1)];
+        EXPECT_EQ(got->seq, want.seq);
+        EXPECT_EQ(got->event, want.event);
+        EXPECT_EQ(got->process_name, want.process_name);
+        EXPECT_EQ(got->thread_ordinal, want.thread_ordinal);
+        EXPECT_EQ(got->value_start, want.value_start);
+        EXPECT_EQ(got->value_end, want.value_end);
+      }
+    }
+  }
+
+  dscg.update(db);
+  Dscg fresh = Dscg::build(db);
+  EXPECT_EQ(characterization_report(dscg, db),
+            characterization_report(fresh, db));
+}
+
+TEST(CallTree, ArenaStopsShortOfTheNoRecordIndex) {
+  LogDatabase db;
+  ColumnBundle cols;
+  cols.count = CallNode::kNoRecord;  // checked before anything is allocated
+  EXPECT_THROW(db.ingest(cols), std::length_error);
+  EXPECT_EQ(db.size(), 0u);
+  EXPECT_EQ(db.generation(), 0u);
 }
 
 }  // namespace

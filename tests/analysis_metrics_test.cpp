@@ -19,8 +19,8 @@ using testutil::Scribe;
 Dscg build_dscg(Scribe& scribe) {
   auto db = std::make_unique<LogDatabase>();
   db->ingest_records(scribe.records());
-  // Intentionally leak-free: Dscg copies nothing from db except interned
-  // views; keep db alive via static storage per test simplicity.
+  // The Dscg's nodes read their records from db by index and hold views of
+  // its interned strings; keep db alive (and unmoved) via static storage.
   static std::vector<std::unique_ptr<LogDatabase>> keep;
   keep.push_back(std::move(db));
   return Dscg::build(*keep.back());

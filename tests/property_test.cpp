@@ -49,8 +49,8 @@ TEST_P(LogSynthProperty, CleanLogsReconstructPerfectly) {
   // Invariant 4: every non-oneway node has all four probe records.
   dscg.visit([&](const analysis::CallNode& node, int) {
     if (node.kind == monitor::CallKind::kOneway) return;
-    for (int e = 0; e < 4; ++e) {
-      EXPECT_TRUE(node.rec[e].has_value());
+    for (int e = 1; e <= 4; ++e) {
+      EXPECT_NE(node.record(static_cast<monitor::EventKind>(e)), nullptr);
     }
   });
 
