@@ -57,8 +57,7 @@ std::uint64_t node_seq(const CallNode& node) {
   std::uint64_t seq = 0;
   bool have = false;
   for (int i = 1; i <= 4; ++i) {
-    const monitor::TraceRecord* r =
-        node.record(static_cast<monitor::EventKind>(i));
+    const auto r = node.record(static_cast<monitor::EventKind>(i));
     if (r && (!have || r->seq < seq)) {
       seq = r->seq;
       have = true;
@@ -95,8 +94,7 @@ void AnomalyDetector::scan(const Dscg& dscg, std::span<const Uuid> rebuilt,
     Dscg::visit_tree(*tree, [&](const CallNode& node, int) {
       // Only this chain's own nodes -- spawned chains get their own scan
       // when they are rebuilt.
-      const monitor::TraceRecord* owner =
-          node.record(monitor::EventKind::kSkelEnd);
+      auto owner = node.record(monitor::EventKind::kSkelEnd);
       if (!owner) owner = node.record(monitor::EventKind::kStubEnd);
       if (!owner || !(owner->chain == id)) return;
       if (!node.failed()) return;

@@ -11,7 +11,7 @@ using monitor::TraceRecord;
 
 namespace {
 
-bool cpu_record(const TraceRecord* r) {
+bool cpu_record(const std::optional<TraceRecord>& r) {
   return r && r->mode == ProbeMode::kCpu;
 }
 
@@ -27,13 +27,13 @@ void annotate_node(CallNode& node, const CpuOptions& options,
   node.descendant_cpu = CpuVector{};
 
   // --- phase 1: self CPU ---
-  const TraceRecord* skel_start = node.record(EventKind::kSkelStart);
-  const TraceRecord* skel_end = node.record(EventKind::kSkelEnd);
+  const auto skel_start = node.record(EventKind::kSkelStart);
+  const auto skel_end = node.record(EventKind::kSkelEnd);
   if (cpu_record(skel_start) && cpu_record(skel_end)) {
     Nanos self = skel_end->value_start - skel_start->value_end;
     for (const auto& child : node.children) {
-      const TraceRecord* c_start = child->record(EventKind::kStubStart);
-      const TraceRecord* c_end = child->record(EventKind::kStubEnd);
+      const auto c_start = child->record(EventKind::kStubStart);
+      const auto c_end = child->record(EventKind::kStubEnd);
       if (cpu_record(c_start) && cpu_record(c_end)) {
         self -= c_end->value_end - c_start->value_start;
       }

@@ -9,7 +9,7 @@ using monitor::TraceRecord;
 
 namespace {
 
-bool latency_record(const TraceRecord* r) {
+bool latency_record(const std::optional<TraceRecord>& r) {
   return r && r->mode == ProbeMode::kLatency;
 }
 
@@ -20,26 +20,21 @@ Nanos own_probe_cost(const CallNode& node) {
   for (int i = 0; i < 4; ++i) {
     const bool stub_side = (i == 0 || i == 3);
     if (node.kind == CallKind::kOneway && !stub_side) continue;
-    const TraceRecord* r = node.record(static_cast<EventKind>(i + 1));
+    const auto r = node.record(static_cast<EventKind>(i + 1));
     if (latency_record(r)) sum += r->probe_self_cost();
   }
   return sum;
 }
 
-// O_F: probe costs of every descendant invocation in F's window.  Spawned
-// chains run in other threads, outside the window -- excluded.
-Nanos descendant_probe_cost(const CallNode& node) {
-  Nanos sum = 0;
-  for (const auto& child : node.children) {
-    sum += own_probe_cost(*child) + descendant_probe_cost(*child);
-  }
-  return sum;
-}
+// Annotates `node`'s subtree and returns the probe cost of every invocation
+// in it, `node`'s own included: the parent's O_F is the sum of these over
+// its children.  Spawned chains run in other threads, outside the window --
+// excluded.
+Nanos annotate_node(CallNode& node, LatencyReport& report) {
+  Nanos overhead = 0;  // O_F: probe costs of every descendant invocation
+  for (auto& child : node.children) overhead += annotate_node(*child, report);
 
-void annotate_node(CallNode& node, LatencyReport& report) {
-  for (auto& child : node.children) annotate_node(*child, report);
-
-  if (node.is_virtual_root()) return;
+  if (node.is_virtual_root()) return overhead;
 
   // Reset before computing so re-annotation (incremental refolds, probe-mode
   // flips) is idempotent.
@@ -47,7 +42,7 @@ void annotate_node(CallNode& node, LatencyReport& report) {
   node.latency_overhead = 0;
   node.raw_latency.reset();
 
-  const TraceRecord *first = nullptr, *last = nullptr;
+  std::optional<TraceRecord> first, last;
   switch (node.kind) {
     case CallKind::kSync:
       first = node.record(EventKind::kStubStart);
@@ -58,8 +53,8 @@ void annotate_node(CallNode& node, LatencyReport& report) {
       last = node.record(EventKind::kSkelEnd);
       break;
     case CallKind::kOneway:
-      if (node.record(EventKind::kStubStart)) {
-        first = node.record(EventKind::kStubStart);
+      first = node.record(EventKind::kStubStart);
+      if (first) {
         last = node.record(EventKind::kStubEnd);
       } else {  // skeleton side of the spawned chain
         first = node.record(EventKind::kSkelStart);
@@ -70,15 +65,14 @@ void annotate_node(CallNode& node, LatencyReport& report) {
 
   if (!latency_record(first) || !latency_record(last)) {
     ++report.skipped;
-    return;
+  } else {
+    const Nanos raw = last->value_start - first->value_end;
+    node.raw_latency = raw;
+    node.latency_overhead = overhead;
+    node.latency = raw - overhead;
+    ++report.annotated;
   }
-
-  const Nanos raw = last->value_start - first->value_end;
-  const Nanos overhead = descendant_probe_cost(node);
-  node.raw_latency = raw;
-  node.latency_overhead = overhead;
-  node.latency = raw - overhead;
-  ++report.annotated;
+  return own_probe_cost(node) + overhead;
 }
 
 }  // namespace

@@ -10,10 +10,11 @@ void ThreadPerRequestPolicy::submit(RequestMessage msg) {
   }
   std::thread([this, msg = std::move(msg)]() mutable {
     serve_(std::move(msg));
-    {
-      std::lock_guard lock(mu_);
-      --active_;
-    }
+    // Notify under the lock: once shutdown() sees active_ == 0 it returns
+    // and the destructor may destroy idle_cv_, so this thread must be done
+    // with it before it releases mu_.
+    std::lock_guard lock(mu_);
+    --active_;
     idle_cv_.notify_all();
   }).detach();
 }

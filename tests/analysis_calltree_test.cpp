@@ -142,7 +142,7 @@ TEST(CallTree, OnewayStubSideAndSpawn) {
   const CallNode& n = *tree.root->children[0];
   EXPECT_EQ(n.kind, CallKind::kOneway);
   EXPECT_EQ(n.spawned_chain, child);
-  EXPECT_EQ(n.record(EventKind::kSkelStart), nullptr);
+  EXPECT_FALSE(n.record(EventKind::kSkelStart).has_value());
 }
 
 TEST(CallTree, OnewaySkelSideChainWithNestedWork) {
@@ -323,7 +323,7 @@ TEST(Database, QueriesAndInterning) {
   auto events = db.chain_events(a.chain());
   ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i + 1 < events.size(); ++i) {
-    EXPECT_LT(events[i]->seq, events[i + 1]->seq);
+    EXPECT_LT(db.record(events[i]).seq, db.record(events[i + 1]).seq);
   }
   EXPECT_TRUE(db.chain_events(Uuid::generate()).empty());
   EXPECT_EQ(db.primary_mode(), monitor::ProbeMode::kLatency);
@@ -334,9 +334,10 @@ TEST(Database, QueriesAndInterning) {
   EXPECT_EQ(db.records()[0].interface_name, "I");
 }
 
-// Nodes refer to their records by arena index, so they must keep reading
-// the right rows after further ingest reallocates the arena -- and an
-// incremental update over the grown database must still match a fresh build.
+// Nodes refer to their records by row index, so they must keep reading the
+// right rows after further ingest opens a new chunk of the row store -- and
+// an incremental update over the grown database must still match a fresh
+// build.
 TEST(CallTree, NodesSurviveArenaGrowth) {
   LogDatabase db;
   std::vector<Scribe> early(3);
@@ -351,15 +352,19 @@ TEST(CallTree, NodesSurviveArenaGrowth) {
   Dscg dscg = Dscg::build(db);
   ASSERT_EQ(dscg.chains().size(), early.size());
 
-  const monitor::TraceRecord* before = db.records().data();
+  const std::size_t chunk_before = db.size() / LogDatabase::kChunkRows;
   std::vector<Scribe> late;
-  while (db.records().data() == before && late.size() < 64) {
+  while (db.size() / LogDatabase::kChunkRows == chunk_before &&
+         late.size() < 64) {
     Scribe& s = late.emplace_back();
-    Nanos t[8] = {0, 1, 2, 3, 4, 5, 6, 7};
-    s.leaf_sync("J", "H", t, "procC", "procD");
+    for (int k = 0; k < 1024; ++k) {
+      Nanos t[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+      s.leaf_sync("J", "H", t, "procC", "procD");
+    }
     db.ingest_records(s.records());
   }
-  ASSERT_NE(db.records().data(), before) << "the arena never reallocated";
+  ASSERT_GT(db.size() / LogDatabase::kChunkRows, chunk_before)
+      << "the row store never opened a new chunk";
 
   for (const auto& tree : dscg.chains()) {
     const auto events = db.chain_events(tree->chain);
@@ -367,10 +372,9 @@ TEST(CallTree, NodesSurviveArenaGrowth) {
     for (std::size_t j = 0; j < tree->root->children.size(); ++j) {
       const CallNode& node = *tree->root->children[j];
       for (int e = 1; e <= 4; ++e) {
-        const monitor::TraceRecord* got =
-            node.record(static_cast<EventKind>(e));
-        ASSERT_NE(got, nullptr);
-        const monitor::TraceRecord& want = *events[4 * j + (e - 1)];
+        const auto got = node.record(static_cast<EventKind>(e));
+        ASSERT_TRUE(got.has_value());
+        const monitor::TraceRecord want = db.record(events[4 * j + (e - 1)]);
         EXPECT_EQ(got->seq, want.seq);
         EXPECT_EQ(got->event, want.event);
         EXPECT_EQ(got->process_name, want.process_name);

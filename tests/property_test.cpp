@@ -50,7 +50,7 @@ TEST_P(LogSynthProperty, CleanLogsReconstructPerfectly) {
   dscg.visit([&](const analysis::CallNode& node, int) {
     if (node.kind == monitor::CallKind::kOneway) return;
     for (int e = 1; e <= 4; ++e) {
-      EXPECT_NE(node.record(static_cast<monitor::EventKind>(e)), nullptr);
+      EXPECT_TRUE(node.record(static_cast<monitor::EventKind>(e)).has_value());
     }
   });
 

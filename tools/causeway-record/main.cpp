@@ -339,12 +339,11 @@ std::uint64_t record(const Args& args, System& system, Drive&& drive) {
 int verify_trace(const Args& args, std::uint64_t written) {
   analysis::LogDatabase db;
   const std::size_t n = analysis::read_trace_file(args.out, db);
-  if (n != written || db.records().size() != written) {
+  if (n != written || db.size() != written) {
     std::fprintf(stderr,
                  "causeway-record: verify FAILED: wrote %llu records, "
                  "read back %zu (database holds %zu)\n",
-                 static_cast<unsigned long long>(written), n,
-                 db.records().size());
+                 static_cast<unsigned long long>(written), n, db.size());
     return 1;
   }
   std::printf("causeway-record: verified %zu records, %zu chains, %s\n", n,
