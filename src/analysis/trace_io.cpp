@@ -829,9 +829,12 @@ monitor::CollectedLogs decode_segment_v2v3(WireCursor& in,
     r.chain.hi = in.read_u64();
     r.chain.lo = in.read_u64();
     r.seq = in.read_u64();
-    r.event = static_cast<monitor::EventKind>(in.read_u8());
-    r.kind = static_cast<monitor::CallKind>(in.read_u8());
-    r.outcome = static_cast<monitor::CallOutcome>(in.read_u8());
+    const auto event = in.read_u8();
+    const auto kind = in.read_u8();
+    const auto outcome = in.read_u8();
+    r.event = static_cast<monitor::EventKind>(event);
+    r.kind = static_cast<monitor::CallKind>(kind);
+    r.outcome = static_cast<monitor::CallOutcome>(outcome);
     r.spawned_chain.hi = in.read_u64();
     r.spawned_chain.lo = in.read_u64();
     r.interface_name = str(in.read_u32());
@@ -844,6 +847,10 @@ monitor::CollectedLogs decode_segment_v2v3(WireCursor& in,
     const auto mode_byte = in.read_u8();
     r.mode = static_cast<monitor::ProbeMode>(mode_byte & 3);
     r.sample_rate_index = static_cast<std::uint8_t>(mode_byte >> 2);
+    // Whole bytes here, a few bits in the v4 flags and the database's rows.
+    if (event > 7 || kind > 3 || outcome > 3 || r.sample_rate_index > 31) {
+      throw WireError("record flags out of range");
+    }
     r.value_start = in.read_i64();
     r.value_end = in.read_i64();
     logs.records.push_back(r);

@@ -1210,6 +1210,37 @@ TEST(TraceIo, ColumnsFromLogsRejectsUnpackableFlags) {
   EXPECT_THROW(columns_from_logs(logs), TraceIoError);
 }
 
+TEST(TraceIo, V3RecordWithUnpackableFlagsIsRefusedWhole) {
+  // A v2/v3 record stores its flags as whole bytes.  One that does not fit
+  // the packed flags is a corrupt trace, reported as TraceIoError, and the
+  // refused segment leaves the database exactly as it was.
+  LogDatabase db;
+  auto good = sample_logs();
+  good.dropped = 1;
+  good.epoch = 3;
+  ASSERT_EQ(decode_trace(encode_trace(good, kTraceFormatV3), db), 4u);
+  const std::uint64_t generation = db.generation();
+
+  auto rate = sample_logs();
+  rate.records[3].sample_rate_index = 40;  // past the 5-bit field
+  auto kind = sample_logs();
+  kind.records[1].kind = static_cast<monitor::CallKind>(9);
+  for (auto* bad : {&rate, &kind}) {
+    bad->domains.push_back({monitor::DomainIdentity{"procC", "node2", "arm"},
+                            monitor::ProbeMode::kLatency, 1});
+    bad->dropped = 5;
+    bad->epoch = 9;
+    EXPECT_THROW(decode_trace(encode_trace(*bad, kTraceFormatV3), db),
+                 TraceIoError);
+    EXPECT_EQ(db.size(), 4u);
+    EXPECT_EQ(db.generation(), generation);
+    ASSERT_EQ(db.domains().size(), 2u);
+    EXPECT_EQ(db.domains()[0].record_count, 2u);
+    EXPECT_EQ(db.overflow_dropped(), 1u);
+    EXPECT_EQ(db.last_epoch(), 3u);
+  }
+}
+
 TEST(TraceIo, EncodeStreamMatchesSerialLoop) {
   // Multi-segment packing (parallel when the pool allows) must commit in
   // input order and byte-match a serial encode of each bundle, for both
