@@ -1,6 +1,7 @@
 #include "analysis/trace_io.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -310,6 +311,11 @@ struct InternMemo {
   }
 };
 
+// Below this many records the pool dispatch costs more than the work it
+// spreads: a multi-segment encode packs its segments inline, and a v5
+// segment deflates its column blocks inline.
+constexpr std::size_t kParallelEncodeMinRecords = 2048;
+
 // The gathered, transform-ready shape of one v4 segment: every varint
 // column widened to u64, seq/value columns already delta'd and zig-zagged
 // (so emission is a raw write_varint_column per column).  Both encode
@@ -408,34 +414,49 @@ std::vector<std::uint8_t> emit_segment_columnar(const SegmentColumns& c,
     out.write_varint_column(c.vend.data(), c.count);
   } else {
     // v5: the same thirteen dense columns in the same order, each wrapped
-    // in a column block (optionally deflated when the block wins).  The
-    // column *payloads* are byte-identical to v4 -- same kernels, same
-    // canonical LEB128 -- so a v5 reader recovers exactly the v4 column
-    // bytes before handing them to the shared decoders.
-    WireBuffer col;
-    auto emit_varints = [&](const std::uint64_t* values, std::size_t n) {
-      col.clear();
-      col.write_varint_column(values, n);
-      write_column_block(out, col.bytes(), /*try_deflate=*/true);
+    // in a column block (deflated when the block wins).  The column
+    // *payloads* are byte-identical to v4 -- same kernels, same canonical
+    // LEB128 -- so a v5 reader recovers exactly the v4 column bytes before
+    // handing them to the shared decoders.  Every payload is built first;
+    // the deflates, most of a v5 encode's time and each a function of its
+    // own payload alone, then run on the shared pool for a large segment,
+    // and the blocks are framed in their fixed order.
+    constexpr std::size_t kColumns = 13;
+    std::array<WireBuffer, kColumns> built;
+    std::array<std::span<const std::uint8_t>, kColumns> payload;
+    std::size_t k = 0;
+    auto varints = [&](const std::vector<std::uint64_t>& values) {
+      built[k].write_varint_column(values.data(), c.count);
+      payload[k] = built[k].bytes();
+      ++k;
     };
-    emit_varints(c.seq.data(), c.count);
-    write_column_block(out, c.flags1, /*try_deflate=*/true);
-    write_column_block(out, c.flags2, /*try_deflate=*/true);
-    col.clear();
+    varints(c.seq);
+    payload[k++] = c.flags1;
+    payload[k++] = c.flags2;
     for (const Uuid& u : c.spawned) {
-      col.write_u64(u.hi);
-      col.write_u64(u.lo);
+      built[k].write_u64(u.hi);
+      built[k].write_u64(u.lo);
     }
-    write_column_block(out, col.bytes(), /*try_deflate=*/true);
-    emit_varints(c.iface.data(), c.count);
-    emit_varints(c.func.data(), c.count);
-    emit_varints(c.object_key.data(), c.count);
-    emit_varints(c.process.data(), c.count);
-    emit_varints(c.node.data(), c.count);
-    emit_varints(c.type.data(), c.count);
-    emit_varints(c.thread_ordinal.data(), c.count);
-    emit_varints(c.vstart.data(), c.count);
-    emit_varints(c.vend.data(), c.count);
+    payload[k] = built[k].bytes();
+    ++k;
+    for (const auto* column :
+         {&c.iface, &c.func, &c.object_key, &c.process, &c.node, &c.type,
+          &c.thread_ordinal, &c.vstart, &c.vend}) {
+      varints(*column);
+    }
+
+    std::array<std::optional<std::vector<std::uint8_t>>, kColumns> deflated;
+    auto deflate_one = [&](std::size_t i) {
+      deflated[i] = deflate_column(payload[i]);
+    };
+    if (c.count >= kParallelEncodeMinRecords) {
+      WorkerPool::shared().parallel_for(kColumns, deflate_one);
+    } else {
+      for (std::size_t i = 0; i < kColumns; ++i) deflate_one(i);
+    }
+    for (std::size_t i = 0; i < kColumns; ++i) {
+      write_column_block(out, payload[i], deflated[i]);
+    }
   }
 
   out.overwrite_u64(body_length_at, out.size() - body_start);
@@ -1357,10 +1378,6 @@ std::vector<std::uint8_t> encode_trace_columns(const ColumnBundle& cols,
 }
 
 namespace {
-
-// Below this many records the pool dispatch costs more than the packing;
-// single-segment encodes always pack inline.
-constexpr std::size_t kParallelEncodeMinRecords = 2048;
 
 // Packs one segment per input index -- on the shared WorkerPool when there
 // is enough work -- committing results in input order.  Each segment's

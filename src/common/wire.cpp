@@ -777,19 +777,24 @@ void prefix_sum_column(std::int64_t* values, std::size_t n) {
 
 // --- Column blocks (trace format v5) ---------------------------------------
 
-void write_column_block(WireBuffer& out, std::span<const std::uint8_t> payload,
-                        bool try_deflate) {
+std::optional<std::vector<std::uint8_t>> deflate_column(
+    std::span<const std::uint8_t> payload) {
   // Tiny payloads can't win: deflate's own framing eats the savings, and
   // the attempt itself costs a codec setup per column.
   constexpr std::size_t kDeflateFloor = 64;
-  if (try_deflate && payload.size() >= kDeflateFloor) {
-    if (auto deflated = deflate_bytes(payload)) {
-      out.write_u8(kColumnCodecDeflate);
-      out.write_varint(payload.size());
-      out.write_varint(deflated->size());
-      out.append_raw(*deflated);
-      return;
-    }
+  if (payload.size() < kDeflateFloor) return std::nullopt;
+  return deflate_bytes(payload);
+}
+
+void write_column_block(
+    WireBuffer& out, std::span<const std::uint8_t> payload,
+    const std::optional<std::vector<std::uint8_t>>& deflated) {
+  if (deflated) {
+    out.write_u8(kColumnCodecDeflate);
+    out.write_varint(payload.size());
+    out.write_varint(deflated->size());
+    out.append_raw(*deflated);
+    return;
   }
   out.write_u8(kColumnCodecRaw);
   out.write_varint(payload.size());

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -352,13 +353,20 @@ class WireCursor {
 inline constexpr std::uint8_t kColumnCodecRaw = 0;
 inline constexpr std::uint8_t kColumnCodecDeflate = 1;
 
-// Appends `payload` as one column block.  When `try_deflate` is set and the
-// build has zlib, stores the deflated form if it is smaller (payloads under
-// ~tens of bytes never are; deflate_bytes already refuses non-wins), raw
+// Writing a column block has two halves.  deflate_column is the codec
+// decision: the deflated form of `payload` when the build has zlib and that
+// form is smaller, nullopt otherwise (payloads under 64 bytes are not
+// tried: deflate's own framing eats the savings).  It depends only on
+// `payload`, so a writer may run it for several columns at once.
+// write_column_block is the framing: it appends `payload` as one block,
+// deflated when `deflated` holds the form deflate_column returned, raw
 // otherwise -- so the output is always the smaller of the two forms and
 // decodes identically either way.
-void write_column_block(WireBuffer& out, std::span<const std::uint8_t> payload,
-                        bool try_deflate);
+std::optional<std::vector<std::uint8_t>> deflate_column(
+    std::span<const std::uint8_t> payload);
+void write_column_block(
+    WireBuffer& out, std::span<const std::uint8_t> payload,
+    const std::optional<std::vector<std::uint8_t>>& deflated);
 
 // Reads one column block, returning a view of the decoded payload: directly
 // into the input for raw blocks (zero-copy), into `scratch` (resized) for

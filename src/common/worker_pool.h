@@ -3,7 +3,8 @@
 //
 // Several analysis stages fan independent work items over threads: the DSCG
 // rebuilds dirty chains in parallel, the sharded LogDatabase ingests record
-// partitions in parallel, and the trace reader decodes complete segments in
+// partitions in parallel, the trace reader decodes complete segments in
+// parallel, and the v5 writer deflates a segment's column blocks in
 // parallel.  Before this pool each site spawned (and joined) fresh
 // std::threads per batch, which is wasteful at streaming cadence -- a drain
 // epoch can arrive every few milliseconds, and thread creation alone costs
@@ -11,18 +12,27 @@
 //
 // WorkerPool keeps the threads alive across batches.  parallel_for(n, fn)
 // runs fn(0..n-1) with the calling thread participating, distributes items
-// via one shared atomic cursor (items are expected to be coarse -- a chain
-// rebuild, a shard partition, a trace segment), and returns when every item
-// finished.  The first exception a worker catches is rethrown on the
-// caller.  Calls are serialized: concurrent parallel_for invocations queue
-// behind one another rather than interleave, which keeps the pool safe to
-// share process-wide (WorkerPool::shared()).
+// via one atomic cursor per job (items are expected to be coarse -- a chain
+// rebuild, a shard partition, a trace segment, a column deflate), and
+// returns as soon as every item has finished: the caller never waits for a
+// helper that has not woken yet.  Each call is its own job object (cursor,
+// done count, first error), so a helper that wakes after its job finished
+// finds the cursor exhausted and runs nothing of it, and concurrent callers
+// never share a cursor -- helpers serve the newest job while every caller
+// drains its own.  The first exception an item throws is rethrown on the
+// caller once every item has run.
+//
+// A parallel_for made inside a pool item -- on a helper or in the caller's
+// own slice -- runs its items inline on that thread, so nesting (a
+// parallel segment encode whose segments each deflate their columns in
+// parallel) can never wait on the pool it is running on.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -44,29 +54,23 @@ class WorkerPool {
   std::size_t concurrency() const { return helpers_.size() + 1; }
 
   // Runs fn(i) for every i in [0, n), caller participating.  Returns when
-  // all n items completed; rethrows the first exception any item threw.
-  // Serialized against concurrent calls.  Never call from inside a pool
-  // item (it would deadlock on the call lock).
+  // all n items have finished; rethrows the first exception any item threw.
+  // Inside a pool item (of any pool) the items run inline on the calling
+  // thread.  Safe to call from several threads at once.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
+  struct Job;
+  static void run_items(Job& job);
   void helper_loop();
-  void run_slice(const std::function<void(std::size_t)>& fn, std::size_t n);
 
   std::vector<std::thread> helpers_;
 
-  std::mutex call_mu_;  // serializes parallel_for invocations
-
   std::mutex mu_;  // guards the job slot below
   std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
   std::uint64_t job_id_{0};
-  const std::function<void(std::size_t)>* fn_{nullptr};
-  std::size_t n_{0};
-  std::size_t running_{0};
+  std::shared_ptr<Job> job_;
   bool stop_{false};
-  std::atomic<std::size_t> next_{0};
-  std::exception_ptr error_;
 };
 
 }  // namespace causeway

@@ -31,7 +31,7 @@ ProcessDomain::ProcessDomain(Fabric& fabric, DomainOptions options)
   policy_ = make_policy(
       options_.policy, [this](RequestMessage msg) { serve(std::move(msg)); },
       options_.pool_size);
-  fabric_.register_domain(name(), &inbox_);
+  fabric_.register_domain(name(), inbox_);
   netd_ = std::thread([this] { netd_loop(); });
 }
 
@@ -40,7 +40,7 @@ ProcessDomain::~ProcessDomain() { shutdown(); }
 void ProcessDomain::shutdown() {
   if (stopped_.exchange(true)) return;
   fabric_.unregister_domain(name());
-  inbox_.close();
+  inbox_->close();
   if (netd_.joinable()) netd_.join();
   policy_->shutdown();
   // Wake any caller still blocked on a reply that will never come.
@@ -72,7 +72,7 @@ std::shared_ptr<Servant> ProcessDomain::find(ObjectKey key) const {
 }
 
 void ProcessDomain::netd_loop() {
-  while (auto env = inbox_.pop()) {
+  while (auto env = inbox_->pop()) {
     // Honor the link-latency deadline: this serializes delivery like a
     // single connection would.
     const Nanos now = steady_now_ns();

@@ -116,7 +116,9 @@ class ProcessDomain {
   std::map<ObjectKey, std::shared_ptr<Servant>> servants_;
   ObjectKey next_key_{1};
 
-  Inbox inbox_;
+  // Shared with the fabric, which may still be pushing into it after this
+  // domain is gone (Fabric::register_domain).
+  std::shared_ptr<Inbox> inbox_ = std::make_shared<Inbox>();
   std::unique_ptr<DispatchPolicy> policy_;
   std::thread netd_;
 

@@ -15,7 +15,7 @@ bool Fabric::send(const std::string& from, const std::string& to,
   // Hash outside the lock; both lookups are heterogeneous, so the hot path
   // neither rehashes under the mutex nor builds temporary key strings.
   const LinkKeyView link{from, to, link_hash(from, to)};
-  Inbox* inbox = nullptr;
+  std::shared_ptr<Inbox> inbox;
   Nanos latency = 0;
   {
     std::lock_guard lock(mu_);

@@ -106,9 +106,12 @@ class Fabric {
     }
   }
 
-  void register_domain(const std::string& name, Inbox* inbox) {
+  // The fabric shares ownership of each inbox: send() copies the pointer
+  // under mu_ and pushes after unlocking, so a push still in flight keeps
+  // the queue alive past unregister_domain and the owning domain's end.
+  void register_domain(const std::string& name, std::shared_ptr<Inbox> inbox) {
     std::lock_guard lock(mu_);
-    inboxes_[name] = inbox;
+    inboxes_[name] = std::move(inbox);
   }
 
   void unregister_domain(const std::string& name) {
@@ -139,7 +142,9 @@ class Fabric {
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Inbox*, NameHash, std::equal_to<>> inboxes_;
+  std::unordered_map<std::string, std::shared_ptr<Inbox>, NameHash,
+                     std::equal_to<>>
+      inboxes_;
   std::unordered_map<LinkKey, Nanos, LinkKeyHash, LinkKeyEq> link_latency_;
   Nanos default_latency_{0};
   std::uint64_t bytes_sent_{0};

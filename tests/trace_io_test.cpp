@@ -16,6 +16,7 @@
 #include "analysis/report.h"
 #include "common/compress.h"
 #include "common/wire.h"
+#include "common/worker_pool.h"
 #include "workload/logsynth.h"
 
 namespace causeway::analysis {
@@ -948,7 +949,7 @@ TEST(TraceIo, ColumnBlockRoundTripsRawAndDeflated) {
        std::initializer_list<const std::vector<std::uint8_t>*>{&small,
                                                                &big}) {
     WireBuffer out;
-    write_column_block(out, *payload, /*try_deflate=*/true);
+    write_column_block(out, *payload, deflate_column(*payload));
     WireCursor in(out.bytes());
     std::vector<std::uint8_t> scratch;
     const auto got = read_column_block(in, payload->size(), scratch);
@@ -957,7 +958,7 @@ TEST(TraceIo, ColumnBlockRoundTripsRawAndDeflated) {
   }
   if (compression_available()) {
     WireBuffer out;
-    write_column_block(out, big, true);
+    write_column_block(out, big, deflate_column(big));
     EXPECT_LT(out.size(), big.size());  // repetitive payload must deflate
   }
 }
@@ -998,7 +999,7 @@ TEST(TraceIo, CorruptDeflatedColumnThrowsCleanly) {
     payload[i] = static_cast<std::uint8_t>(i % 7);
   }
   WireBuffer out;
-  write_column_block(out, payload, true);
+  write_column_block(out, payload, deflate_column(payload));
   auto bytes = out.bytes();
   ASSERT_EQ(bytes[0], 1) << "expected a deflated block";
   {
@@ -1275,6 +1276,58 @@ TEST(TraceIo, EncodeStreamMatchesSerialLoop) {
   ASSERT_EQ(col_encoded.size(), columns.size());
   for (std::size_t i = 0; i < columns.size(); ++i) {
     EXPECT_EQ(col_encoded[i], encoded[i]) << "segment " << i;
+  }
+}
+
+TEST(TraceIo, V5PooledDeflateMatchesInlineEncode) {
+  // A segment of kParallelEncodeMinRecords (2048) records or more deflates
+  // its column blocks on the shared pool.  Inside a pool item the same
+  // encode runs every deflate inline; the bytes must not differ.
+  workload::LogSynthConfig config;
+  config.total_calls = 1'000;
+  LogDatabase source;
+  workload::synthesize_logs(config, source);
+  monitor::CollectedLogs logs;
+  logs.epoch = 7;
+  logs.records = source.records();
+  ASSERT_GE(logs.records.size(), 2048u);
+
+  const auto pooled = encode_trace(logs, kTraceFormatV5);
+  std::vector<std::vector<std::uint8_t>> inline_encoded(2);
+  WorkerPool::shared().parallel_for(2, [&](std::size_t k) {
+    inline_encoded[k] = encode_trace(logs, kTraceFormatV5);
+  });
+  for (const auto& bytes : inline_encoded) EXPECT_EQ(bytes, pooled);
+
+  LogDatabase db;
+  EXPECT_EQ(decode_trace(pooled, db), logs.records.size());
+}
+
+TEST(TraceIo, V5EncodeStreamMatchesPerSegmentEncode) {
+  // Segments pack on the pool and each one's deflates nest inside that
+  // item; the stream must return and match a per-segment v5 encode.
+  workload::LogSynthConfig config;
+  config.total_calls = 600;
+  std::deque<LogDatabase> sources;
+  std::vector<monitor::CollectedLogs> bundles;
+  std::size_t total = 0;
+  for (std::uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    LogDatabase& source = sources.emplace_back();
+    config.seed = 70 + epoch;
+    workload::synthesize_logs(config, source);
+    monitor::CollectedLogs logs;
+    logs.records = source.records();
+    logs.epoch = epoch;
+    total += logs.records.size();
+    bundles.push_back(std::move(logs));
+  }
+  ASSERT_GE(total, 2048u);
+
+  const auto encoded = encode_trace_stream(bundles, kTraceFormatV5);
+  ASSERT_EQ(encoded.size(), bundles.size());
+  for (std::size_t i = 0; i < bundles.size(); ++i) {
+    EXPECT_EQ(encoded[i], encode_trace(bundles[i], kTraceFormatV5))
+        << "segment " << i;
   }
 }
 
